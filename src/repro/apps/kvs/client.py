@@ -141,6 +141,13 @@ class KvsClient:
         response = yield from self.stub.set(request, lb_key=self._lb_key(key))
         return response
 
+    def issue(self, op: Tuple[str, int], on_response):
+        """Issue one ``(op, index)`` trace entry (the load driver's hook)."""
+        kind, index = op
+        if kind == "get":
+            return self.get_async(index, on_response=on_response)
+        return self.set_async(index, on_response=on_response)
+
     def get_async(self, index: int, on_response=None):
         key = encode_key(index, self.key_bytes)
         request = self.namespace["GetRequest"](key=key)
@@ -214,6 +221,9 @@ def run_kvs_workload(
     or closed loop (``closed_loop_window`` outstanding requests) for the
     peak-throughput and access-latency cells, like the paper's generator.
     """
+    # local: the harness package imports the apps
+    from repro.harness.load import LoadDriver, poisson_arrivals
+
     sim = Simulator()
     machine = Machine(sim, MachineConfig(), calibration, seed=seed)
     switch = ToRSwitch(sim, calibration, loopback=True)
@@ -295,58 +305,19 @@ def run_kvs_workload(
         load_mrps = num_threads * load_factor * 1000.0 / mean_cost
 
     recorder = LatencyRecorder(warmup_ns=warmup_ns)
-    done = sim.event()
-    state = {"completed": 0, "expected": 0}
+    load = LoadDriver(sim, recorder.record, len(ops),
+                      [client.rpc_client for client in clients])
     interarrival = Exponential(mean=1000.0 / load_mrps * len(clients),
                                rng=seed + 1)
-
-    def drive(client: KvsClient, trace: List[Tuple[str, int]]):
-        next_arrival = sim.now
-        for op, index in trace:
-            if closed_loop_window is not None:
-                while client.rpc_client.outstanding >= closed_loop_window:
-                    yield sim.timeout(100)
-                arrival = sim.now
-            else:
-                next_arrival += interarrival.sample_ns()
-                if next_arrival > sim.now:
-                    yield sim.timeout(next_arrival - sim.now)
-                arrival = next_arrival
-
-            def on_response(_msg, arrival=arrival):
-                recorder.record(arrival, sim.now)
-                state["completed"] += 1
-                if (state["completed"] >= state["expected"]
-                        and not done.triggered):
-                    done.succeed()
-
-            if op == "get":
-                yield from client.get_async(index, on_response=on_response)
-            else:
-                yield from client.set_async(index, on_response=on_response)
-
-    shards = [ops[i::len(clients)] for i in range(len(clients))]
-    # Drops mean some responses never arrive; completion target excludes
-    # an allowance discovered at drain time instead: wait for issued-drops.
-    state["expected"] = len(ops)
-    for client, shard in zip(clients, shards):
-        sim.spawn(drive(client, shard))
-
-    def waiter():
-        # Finish when all responses arrived, or when the system drains with
-        # drops (done may then never fire by count).
-        yield done
-
-    handle = sim.spawn(waiter())
-    # Run; if drops occurred, the count never reaches expected, so run the
-    # heap dry and use whatever completed.
-    from repro.sim import SimulationError
-
-    try:
-        sim.run_until_done(handle)
-    except SimulationError:
-        pass
-    sim.run()
+    for i, client in enumerate(clients):
+        trace = ops[i::len(clients)]
+        if closed_loop_window is not None:
+            load.closed(client.rpc_client, trace, closed_loop_window,
+                        client.issue)
+        else:
+            load.open(poisson_arrivals(sim, interarrival, trace),
+                      client.issue)
+    load.run()
 
     dropped = client_stack.drops + server_stack.drops
     total = recorder.count + recorder.discarded

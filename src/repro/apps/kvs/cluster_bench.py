@@ -29,7 +29,7 @@ from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.cluster import Cluster
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
-from repro.sim import LatencyRecorder, Simulator, SimulationError
+from repro.sim import LatencyRecorder, Simulator
 from repro.stacks import DaggerStack, connect
 
 #: Client threads one 12-core machine contributes (2 SMT threads per core
@@ -63,6 +63,9 @@ def run_kvs_multicore(
     seed: int = 13,
 ) -> ClusterKvsResult:
     """Closed-loop saturation of a multi-threaded KVS server."""
+    # local: the harness package imports the apps
+    from repro.harness.load import LoadDriver
+
     sim = Simulator()
     # Enough client machines to saturate the server threads.
     clients_needed = max(server_threads, 2)
@@ -127,41 +130,13 @@ def run_kvs_multicore(
     )
 
     recorder = LatencyRecorder(warmup_ns=150_000)
-    done = sim.event()
-    shards = [ops[i::len(clients)] for i in range(len(clients))]
-    state = {"completed": 0,
-             "expected": sum(len(shard) for shard in shards)}
-
-    def drive(client: KvsClient, shard):
-        for op, index in shard:
-            while client.rpc_client.outstanding >= window_per_client:
-                yield sim.timeout(100)
-            arrival = sim.now
-
-            def on_response(_msg, arrival=arrival):
-                recorder.record(arrival, sim.now)
-                state["completed"] += 1
-                if (state["completed"] >= state["expected"]
-                        and not done.triggered):
-                    done.succeed()
-
-            if op == "get":
-                yield from client.get_async(index, on_response=on_response)
-            else:
-                yield from client.set_async(index, on_response=on_response)
-
-    for client, shard in zip(clients, shards):
-        sim.spawn(drive(client, shard))
-
-    def waiter():
-        yield done
-
-    handle = sim.spawn(waiter())
-    try:
-        sim.run_until_done(handle)
-    except SimulationError:
-        pass  # drops; drain below
-    sim.run()
+    load = LoadDriver(sim, recorder.record, len(ops),
+                      [client.rpc_client for client in clients])
+    for i, client in enumerate(clients):
+        trace = ops[i::len(clients)]
+        load.closed(client.rpc_client, trace, window_per_client,
+                    client.issue)
+    load.run()
 
     total = recorder.count + recorder.discarded
     drops = server_stack.drops

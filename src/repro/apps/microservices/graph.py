@@ -19,7 +19,7 @@ from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.platform import Machine, MachineConfig
 from repro.hw.switch import ToRSwitch
 from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
-from repro.sim import Exponential, LatencyRecorder, Simulator, SimulationError
+from repro.sim import Exponential, LatencyRecorder, Simulator
 from repro.sim.distributions import make_rng
 from repro.stacks import DaggerStack, connect, make_stack
 
@@ -218,10 +218,15 @@ class ServiceGraph:
         ``"tier.method"`` keys to spread load over several entry tiers
         (the Flight app drives both front-ends at once).
         """
+        # local: the harness package imports the apps
+        from repro.harness.load import LoadDriver, poisson_arrivals, split
+
         if not self._built:
             self.build()
         if load_krps <= 0:
             raise ValueError(f"load must be positive, got {load_krps}")
+        if nreq < 1:
+            raise ValueError(f"nreq must be >= 1, got {nreq}")
         # Resolve mix keys to (tier, method) pairs.
         entries: Dict[str, Tuple[str, str]] = {}
         for key in method_mix:
@@ -280,8 +285,6 @@ class ServiceGraph:
         if total_weight <= 0:
             raise ValueError("method mix weights must sum to > 0")
         recorder = LatencyRecorder(warmup_ns=warmup_ns)
-        done = sim.event()
-        state = {"completed": 0, "expected": nreq // len(clients) * len(clients)}
         interarrival = Exponential(
             mean=1e6 / load_krps * len(clients), rng=seed + 1
         )
@@ -291,49 +294,40 @@ class ServiceGraph:
                 return entry_payload_bytes.get(method, 64)
             return entry_payload_bytes
 
-        def driver(per_tier: Dict[str, RpcClient], count: int):
-            next_arrival = sim.now
-            for _ in range(count):
-                next_arrival += interarrival.sample_ns()
-                if next_arrival > sim.now:
-                    yield sim.timeout(next_arrival - sim.now)
-                # Past saturation the generator falls behind its schedule;
-                # measuring from issue time (as the paper's generator does)
-                # keeps the median meaningful while the tail soars (Fig 15).
-                arrival = sim.now if measure_from_issue else next_arrival
+        def record(start, finish):
+            recorder.record(start, finish)
+            self.tracer.record_e2e(finish - start)
+
+        def issue_for(per_tier: Dict[str, RpcClient]):
+            def issue(_item, callback):
+                # The mix is drawn after the arrival's sleep, in issue order.
                 mix_key = rng.choices(methods, weights=weights)[0]
                 tier_name, method = entries[mix_key]
-
-                def on_complete(call, arrival=arrival):
-                    recorder.record(arrival, call.completed_at)
-                    self.tracer.record_e2e(call.completed_at - arrival)
-                    state["completed"] += 1
-                    if (state["completed"] >= state["expected"]
-                            and not done.triggered):
-                        done.succeed()
-
-                yield from per_tier[tier_name].call_async(
-                    method, b"", payload_size(mix_key), callback=on_complete
+                return per_tier[tier_name].call_async(
+                    method, b"", payload_size(mix_key), callback=callback
                 )
 
-        for per_tier in clients:
-            sim.spawn(driver(per_tier, nreq // len(clients)))
+            return issue
 
-        def waiter():
-            yield done
-
-        handle = sim.spawn(waiter())
-        try:
-            sim.run_until_done(handle)
-        except SimulationError:
-            pass  # drops: drain and report what completed
-        self.sim.run()
+        load = LoadDriver(sim, record, nreq,
+                          [client for per_tier in clients
+                           for client in per_tier.values()])
+        # Past saturation the generator falls behind its schedule;
+        # measuring from issue time (as the paper's generator does) keeps
+        # the median meaningful while the tail soars (Fig 15).
+        for per_tier, count in zip(clients, split(nreq, len(clients))):
+            load.open(poisson_arrivals(sim, interarrival, range(count)),
+                      issue_for(per_tier),
+                      measure_from_issue=measure_from_issue)
+        load.run()
 
         drops = self.drops + loadgen_stack.drops
         total = recorder.count + recorder.discarded
         stats = recorder.summary()
         return GraphResult(
-            throughput_krps=recorder.throughput_rps() / 1e3,
+            # A single sample has no measurement window for throughput.
+            throughput_krps=(recorder.throughput_rps() / 1e3
+                             if recorder.count >= 2 else 0.0),
             p50_us=stats.p50_us,
             p90_us=stats.p90_us,
             p99_us=stats.p99_us,

@@ -18,8 +18,9 @@ from dataclasses import asdict
 from typing import Any, Dict, Optional
 
 from repro.chaos.faults import ChaosConfig
-from repro.sim import Exponential, SimulationError
-from repro.sim.stats import _check_mode, percentile
+from repro.harness.load import LoadDriver, poisson_arrivals
+from repro.sim import Exponential
+from repro.sim.stats import LatencyRecorder, _check_mode, percentile
 
 #: Named fault schedules (config overrides merged with the run's seed).
 #: Rates are chosen to stress recovery hard while staying far from the
@@ -102,7 +103,8 @@ def run_chaos_point(
         raise ValueError(f"nreq must be >= 1, got {nreq}")
     if load_mrps <= 0:
         raise ValueError(f"load must be positive, got {load_mrps}")
-    from repro.harness.runner import EchoRig  # local: avoid import cycle
+    # local: avoid import cycle
+    from repro.harness.runner import EchoRig, _echo_call
 
     config = ChaosConfig.from_dict(
         dict(FAULT_CLASSES[fault_class], seed=seed)
@@ -120,64 +122,24 @@ def run_chaos_point(
     auditor.watch(rig.client_stack.nic)
     auditor.watch(rig.server_stack.nic)
 
-    sim = rig.sim
-    client = rig.clients[0]
-    done = sim.event()
-    sketch = None
-    if mode == "sketch":
-        from repro.obs.sketch import QuantileSketch
-
-        sketch = QuantileSketch()
-    latencies = []
-    state = {"completed": 0}
+    recorder = LatencyRecorder(warmup_ns=0, mode=mode)
+    load = LoadDriver(rig.sim, recorder.record, nreq, rig.clients)
     # Distinct stream from the chaos RNG: fault decisions and arrivals must
     # not share draws, or changing the fault class would reshape the load.
     interarrival = Exponential(mean=1000.0 / load_mrps, rng=seed + 7919)
+    load.open(poisson_arrivals(rig.sim, interarrival, range(nreq)),
+              _echo_call(rig.clients[0], rpc_bytes))
+    # Unrecoverable calls (the sender gave up after max_retries) fail and
+    # drain; a clean run stops at its last completion.
+    load.run(drain=False)
 
-    def issue():
-        next_arrival = sim.now
-        for _ in range(nreq):
-            gap = interarrival.sample_ns()
-            next_arrival += gap
-            if next_arrival > sim.now:
-                yield next_arrival - sim.now
-            arrival = next_arrival
-
-            def on_complete(call, arrival=arrival):
-                if sketch is not None:
-                    sketch.add(call.completed_at - arrival)
-                else:
-                    latencies.append(call.completed_at - arrival)
-                state["completed"] += 1
-                if state["completed"] >= nreq and not done.triggered:
-                    done.succeed()
-
-            yield from client.call_async(
-                "echo", b"x" * min(rpc_bytes, 8), rpc_bytes,
-                callback=on_complete,
-            )
-
-    sim.spawn(issue())
-
-    def waiter():
-        yield done
-
-    handle = sim.spawn(waiter())
-    try:
-        sim.run_until_done(handle)
-    except SimulationError:
-        # Some calls are genuinely unrecoverable (sender gave up after
-        # max_retries): fail them and drain whatever is still in flight.
-        for c in rig.clients:
-            c.fail_pending("abandoned under chaos")
-        sim.run()
-
-    if sketch is not None and sketch.count:
+    if recorder.sketch is not None and recorder.count:
+        sketch = recorder.sketch
         p50_us = round(sketch.quantile(50) / 1000.0, 3)
         p99_us = round(sketch.quantile(99) / 1000.0, 3)
         p999_us = round(sketch.quantile(99.9) / 1000.0, 3)
-    elif latencies:
-        data = sorted(latencies)
+    elif recorder.samples:
+        data = sorted(recorder.samples)
         p50_us = round(percentile(data, 50, presorted=True) / 1000.0, 3)
         p99_us = round(percentile(data, 99, presorted=True) / 1000.0, 3)
         p999_us = round(percentile(data, 99.9, presorted=True) / 1000.0, 3)
@@ -192,8 +154,8 @@ def run_chaos_point(
         "nreq": nreq,
         "load_mrps": load_mrps,
         "hedge_ns": hedge_ns,
-        "completed": state["completed"],
-        "lost_rpcs": nreq - state["completed"],
+        "completed": load.completed,
+        "lost_rpcs": nreq - load.completed,
         "p50_us": p50_us,
         "p99_us": p99_us,
         "p999_us": p999_us,

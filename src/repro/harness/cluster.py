@@ -54,7 +54,8 @@ from repro.hw.cluster import Cluster
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.platform import MachineConfig
 from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
-from repro.sim import LatencyRecorder, SimulationError, Simulator
+from repro.harness.load import IDLE_LIMIT_NS, LoadDriver
+from repro.sim import LatencyRecorder, Simulator
 from repro.sim.distributions import make_rng
 from repro.sim.sharded import canonical_json
 from repro.sim.stats import _check_mode
@@ -366,7 +367,6 @@ class ClusterRig:
         self._next_core = [0] * machines
         self._machine_cursor = 0
         self._ran = False
-        self._done = self.sim.event()
 
         deployments = deployments or {}
         names = set()
@@ -602,7 +602,7 @@ class ClusterRig:
 
     # -- autoscaling ------------------------------------------------------------
 
-    def _autoscale(self):
+    def _autoscale(self, done):
         cfg = self.autoscaler_config
         pools = self.pools
         now = self.sim.now
@@ -610,7 +610,7 @@ class ClusterRig:
                 for name, pool in pools.items()}
         windows = {name: deque(maxlen=cfg.down_window) for name in pools}
         cooldowns = {name: 0 for name in pools}
-        while not self._done.triggered:
+        while not done.triggered:
             yield cfg.interval_ns
             now = self.sim.now
             for name, pool in pools.items():
@@ -663,7 +663,7 @@ class ClusterRig:
         warmup_ns: int = 2_000_000,
         num_load_threads: int = 2,
         mode: str = "exact",
-        idle_limit_ns: int = 50_000_000,
+        idle_limit_ns: int = IDLE_LIMIT_NS,
     ) -> ClusterResult:
         """Drive ``nreq`` session arrivals and report SLO attainment.
 
@@ -727,16 +727,22 @@ class ClusterRig:
 
         recorder = LatencyRecorder(warmup_ns=warmup_ns, mode=mode)
         deadline_ns = int(deadline_us * 1000)
-        done = self._done
-        state = {"completed": 0, "slo_met": 0, "slo_total": 0,
-                 "drivers_done": 0}
+        slo = {"met": 0, "total": 0}
 
-        arrivals = workload.arrivals(nreq)
+        def record(intended, finish):
+            recorder.record(intended, finish)
+            if finish >= warmup_ns:
+                slo["total"] += 1
+                if finish - intended <= deadline_ns:
+                    slo["met"] += 1
 
-        def driver(per_tier):
-            for arrival in arrivals:
-                if arrival.t_ns > sim.now:
-                    yield sim.timeout(arrival.t_ns - sim.now)
+        load = LoadDriver(sim, record, nreq,
+                          [client for per_tier in clients
+                           for client, _ in per_tier.values()])
+        done = load.done
+
+        def issue_for(per_tier):
+            def issue(arrival, callback):
                 tier_name, method = entries[arrival.method]
                 pool = self.pools[tier_name]
                 client, conn_ids = per_tier[tier_name]
@@ -744,25 +750,18 @@ class ClusterRig:
                 pool.note_issue(target)
                 done_cb = pool.make_done_callback(target)
 
-                def on_complete(call, intended=arrival.t_ns,
-                                done_cb=done_cb):
+                def on_complete(call):
                     done_cb(call)
-                    recorder.record(intended, call.completed_at)
-                    if call.completed_at >= warmup_ns:
-                        state["slo_total"] += 1
-                        if call.completed_at - intended <= deadline_ns:
-                            state["slo_met"] += 1
-                    state["completed"] += 1
-                    if state["completed"] >= nreq and not done.triggered:
-                        done.succeed()
+                    callback(call)
 
-                yield from client.call_async(
+                return client.call_async(
                     method, b"", entry_payload_bytes,
                     lb_key=arrival.key,
                     connection_id=conn_ids[target],
                     callback=on_complete,
                 )
-            state["drivers_done"] += 1
+
+            return issue
 
         def watchdog():
             # Declares the run over when completions stall (dropped
@@ -775,36 +774,25 @@ class ClusterRig:
             last, idle = -1, 0
             while not done.triggered:
                 yield interval
-                if state["completed"] == last:
+                if load.completed == last:
                     idle += 1
                     if idle >= idle_limit:
                         done.succeed()
                         return
                 else:
-                    idle, last = 0, state["completed"]
+                    idle, last = 0, load.completed
 
+        # Every driver draws from the one shared arrival stream.
+        arrivals = ((arrival.t_ns, arrival)
+                    for arrival in workload.arrivals(nreq))
         for per_tier in clients:
-            sim.spawn(driver(per_tier))
+            load.open(arrivals, issue_for(per_tier))
         sim.spawn(watchdog())
         if self.autoscaler_config.enabled:
-            sim.spawn(self._autoscale())
+            sim.spawn(self._autoscale(done))
         if self.collector is not None:
             self.collector.start()
-
-        def waiter():
-            yield done
-
-        handle = sim.spawn(waiter())
-        try:
-            sim.run_until_done(handle)
-        except SimulationError:
-            pass  # heap drained before the done event: everything lost
-        if not done.triggered:
-            done.succeed()
-        try:
-            sim.run()
-        except SimulationError:
-            pass
+        load.run()
         if self.collector is not None:
             self.collector.stop()
 
@@ -823,7 +811,7 @@ class ClusterRig:
                                       stats.p99_us)
         else:
             mean_us = p50_us = p90_us = p99_us = 0.0
-        slo_total = state["slo_total"]
+        slo_total = slo["total"]
         tiers = {
             name: {
                 "initial": pool.deployment.initial,
@@ -849,17 +837,17 @@ class ClusterRig:
             seed=self.seed,
             count=recorder.count,
             discarded=recorder.discarded,
-            completed=state["completed"],
-            lost=nreq - state["completed"],
+            completed=load.completed,
+            lost=nreq - load.completed,
             drops=drops,
             throughput_krps=round(throughput_krps, 3),
             mean_us=round(mean_us, 3),
             p50_us=round(p50_us, 3),
             p90_us=round(p90_us, 3),
             p99_us=round(p99_us, 3),
-            slo_met=state["slo_met"],
+            slo_met=slo["met"],
             slo_total=slo_total,
-            slo_attainment=(round(state["slo_met"] / slo_total, 4)
+            slo_attainment=(round(slo["met"] / slo_total, 4)
                             if slo_total else 0.0),
             tiers=tiers,
             scaling_events=list(self.scaling_events),

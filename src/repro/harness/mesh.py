@@ -28,7 +28,8 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Union
 
-from repro.harness.runner import SERVER_CORE_BASE, _echo_handler
+from repro.harness.load import LoadDriver, split
+from repro.harness.runner import SERVER_CORE_BASE, _echo_call, _echo_handler
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.platform import Machine, MachineConfig
@@ -156,16 +157,17 @@ class MeshHost:
 
         self.recorder = LatencyRecorder(name=f"h{host_id}",
                                         warmup_ns=warmup_ns, mode=mode)
-        self.completed = 0
         self.service_ns = service_ns
-        base, extra = divmod(nreq_per_host, len(peers))
-        self.quotas = [base + (1 if i < extra else 0)
-                       for i in range(len(peers))]
-        self._issued = [0] * len(peers)
-        for index, (client, quota) in enumerate(zip(self.clients,
-                                                    self.quotas)):
-            if quota:
-                self.sim.spawn(self._issue(index, client, quota))
+        self.quotas = split(nreq_per_host, len(peers))
+        # Self-terminating closed loops (no completion target): the sharded
+        # engine runs every host to full drain, which is exactly when all
+        # issue loops have finished and every response has been polled.
+        self._driven = [(client, quota) for client, quota
+                        in zip(self.clients, self.quotas) if quota]
+        self.load = LoadDriver(self.sim, self.recorder.record)
+        for client, quota in self._driven:
+            self.load.closed(client, range(quota), window,
+                             _echo_call(client, rpc_bytes))
 
         # Adaptive-horizon support (repro.sim.sharded): the boundary tracks
         # per-address delivery counts, the delivery hook keeps per-client-
@@ -180,32 +182,6 @@ class MeshHost:
         self.boundary.egress_bound_fn = self._egress_bound
         if service_ns > 0:
             self.boundary.ingress_floors[_server_address(host_id)] = service_ns
-
-    def _issue(self, index: int, client: RpcClient, quota: int):
-        """Closed loop: keep ``window`` RPCs in flight until quota issued.
-
-        Self-terminating — no completion gate: the sharded engine runs every
-        host to full drain, which is exactly when all issue loops have
-        finished and every response has been polled.
-        """
-        recorder = self.recorder
-
-        def on_complete(call):
-            recorder.record(call.issued_at, call.completed_at)
-            self.completed += 1
-
-        issued = 0
-        while issued < quota:
-            while client.outstanding >= self.window:
-                yield 100
-            issued += 1
-            # Counted *before* submission: from here until the NIC puts the
-            # request on the wire, the host must report "egress imminent".
-            self._issued[index] = issued
-            yield from client.call_async(
-                "echo", b"x" * min(self.rpc_bytes, 8), self.rpc_bytes,
-                callback=on_complete,
-            )
 
     def _on_delivery(self, dst_address: str, packet: Any) -> None:
         """Boundary delivery hook: record per-flow request arrival times.
@@ -250,14 +226,16 @@ class MeshHost:
         sent = boundary.sent_by_address
         delivered = boundary.delivered_by_address
         peers = [h for h in range(self.hosts) if h != self.host_id]
-        if sum(sent.get(_server_address(r), 0)
-               for r in peers) < sum(self._issued):
+        # The driver bumps each issue count *before* submission: from then
+        # until the NIC puts the request on the wire, egress is imminent.
+        issued = self.load.issued
+        if sum(sent.get(_server_address(r), 0) for r in peers) < sum(issued):
             return None  # request(s) still inside the client TX pipeline
-        if delivered.get(_client_address(self.host_id), 0) > self.completed:
+        if (delivered.get(_client_address(self.host_id), 0)
+                > self.load.completed):
             return None  # response mid-RX: completion may free a slot now
-        for index, client in enumerate(self.clients):
-            if (self._issued[index] < self.quotas[index]
-                    and client.outstanding < self.window):
+        for (client, quota), count in zip(self._driven, issued):
+            if count < quota and client.outstanding < self.window:
                 return None  # free to issue immediately
         bound = None
         for remote in peers:
@@ -284,7 +262,7 @@ class MeshHost:
             "last_finish_ns": recorder.last_finish_ns,
             "discarded": recorder.discarded,
             "issued": sum(self.quotas),
-            "completed": self.completed,
+            "completed": self.load.completed,
             "requests_handled": self.server.requests_handled,
             "drops": self.client_stack.drops + self.server_stack.drops,
             "packets_forwarded": self.boundary.packets_forwarded,

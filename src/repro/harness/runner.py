@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.harness.load import LoadDriver, poisson_arrivals, split
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.cpu import SoftwareThread
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
@@ -129,6 +130,17 @@ def _echo_handler(service_ns: int = 0, response_bytes: int = 48):
         yield  # pragma: no cover - makes this a generator function
 
     return echo if service_ns > 0 else echo_fast
+
+
+def _echo_call(client: RpcClient, rpc_bytes: int):
+    """The echo rigs' issue call: one echo RPC on ``client``."""
+    payload = b"x" * min(rpc_bytes, 8)
+
+    def issue(_item, callback):
+        return client.call_async("echo", payload, rpc_bytes,
+                                 callback=callback)
+
+    return issue
 
 
 class EchoRig:
@@ -294,17 +306,8 @@ class EchoRig:
         return self.client_stack.drops + self.server_stack.drops
 
     def _client_quotas(self, nreq: int) -> List[int]:
-        """Split ``nreq`` across the clients without dropping the remainder.
-
-        The first ``nreq % num_clients`` clients issue one extra request, so
-        every requested RPC is issued regardless of divisibility (and small
-        ``nreq`` can no longer leave target == 0, which used to hang).
-        """
-        if nreq < 1:
-            raise ValueError(f"nreq must be >= 1, got {nreq}")
-        base, extra = divmod(nreq, len(self.clients))
-        return [base + (1 if i < extra else 0)
-                for i in range(len(self.clients))]
+        """Split ``nreq`` across the clients without dropping the remainder."""
+        return split(nreq, len(self.clients))
 
     def _traced_result(self, recorder: LatencyRecorder, warmup_ns: int,
                        offered_mrps: Optional[float] = None) -> BenchResult:
@@ -336,48 +339,14 @@ class EchoRig:
                     warmup_ns: int = 100_000) -> BenchResult:
         """Each client keeps ``window`` async RPCs in flight."""
         recorder = LatencyRecorder(warmup_ns=warmup_ns, mode=self.mode)
+        quotas = self._client_quotas(nreq)
         if self.timeline is not None:
             self.timeline.start()
-        sim = self.sim
-        done = sim.event()
-        quotas = self._client_quotas(nreq)
-        state = {"completed": 0, "target": nreq}
-
-        def on_complete(call):
-            recorder.record(call.issued_at, call.completed_at)
-            state["completed"] += 1
-            if state["completed"] >= state["target"] and not done.triggered:
-                done.succeed()
-
-        def issue(client, quota):
-            issued = 0
-            while issued < quota:
-                while client.outstanding >= window:
-                    yield 100
-                issued += 1
-                yield from client.call_async(
-                    "echo", b"x" * min(self.rpc_bytes, 8), self.rpc_bytes,
-                    callback=on_complete,
-                )
-
+        load = LoadDriver(self.sim, recorder.record, nreq, self.clients)
         for client, quota in zip(self.clients, quotas):
-            sim.spawn(issue(client, quota))
-
-        def waiter():
-            yield done
-
-        handle = sim.spawn(waiter())
-        from repro.sim import SimulationError
-
-        try:
-            sim.run_until_done(handle)
-        except SimulationError:
-            # Drops: some calls never complete. Drain and report what did.
-            # The issue loops stall once outstanding pins at the window, so
-            # fail the remaining calls to unblock and drain again.
-            for client in self.clients:
-                client.fail_pending("dropped by the fabric")
-        sim.run()
+            load.closed(client, range(quota), window,
+                        _echo_call(client, self.rpc_bytes))
+        load.run()
         if self.timeline is not None:
             self.timeline.stop()
         return self._traced_result(recorder, warmup_ns)
@@ -392,46 +361,17 @@ class EchoRig:
         if load_mrps <= 0:
             raise ValueError(f"load must be positive, got {load_mrps}")
         recorder = LatencyRecorder(warmup_ns=warmup_ns, mode=self.mode)
+        quotas = self._client_quotas(nreq)
         if self.timeline is not None:
             self.timeline.start()
-        sim = self.sim
-        done = sim.event()
-        quotas = self._client_quotas(nreq)
-        state = {"completed": 0, "target": nreq}
+        load = LoadDriver(self.sim, recorder.record, nreq, self.clients)
         interarrival = Exponential(
             mean=len(self.clients) * 1000.0 / load_mrps, rng=seed
         )
-
-        def issue(client, quota):
-            issued = 0
-            next_arrival = sim.now
-            while issued < quota:
-                gap = interarrival.sample_ns()
-                next_arrival += gap
-                if next_arrival > sim.now:
-                    yield next_arrival - sim.now
-                issued += 1
-                arrival = next_arrival
-
-                def on_complete(call, arrival=arrival):
-                    recorder.record(arrival, call.completed_at)
-                    state["completed"] += 1
-                    if (state["completed"] >= state["target"]
-                            and not done.triggered):
-                        done.succeed()
-
-                yield from client.call_async(
-                    "echo", b"x" * min(self.rpc_bytes, 8), self.rpc_bytes,
-                    callback=on_complete,
-                )
-
         for client, quota in zip(self.clients, quotas):
-            sim.spawn(issue(client, quota))
-
-        def waiter():
-            yield done
-
-        sim.run_until_done(sim.spawn(waiter()))
+            load.open(poisson_arrivals(self.sim, interarrival, range(quota)),
+                      _echo_call(client, self.rpc_bytes))
+        load.run(drain=False)
         if self.timeline is not None:
             self.timeline.stop()
         return self._traced_result(recorder, warmup_ns,
@@ -727,44 +667,18 @@ class MultiTenantEchoRig:
         }
         if self.timeline is not None:
             self.timeline.start()
-        sim = self.sim
-        done = sim.event()
-        state = {"completed": 0, "target": sum(quotas.values())}
-
-        def issue(client, quota, recorder, interarrival):
-            issued = 0
-            next_arrival = sim.now
-            while issued < quota:
-                gap = interarrival.sample_ns()
-                next_arrival += gap
-                if next_arrival > sim.now:
-                    yield next_arrival - sim.now
-                issued += 1
-                arrival = next_arrival
-
-                def on_complete(call, arrival=arrival):
-                    recorder.record(arrival, call.completed_at)
-                    state["completed"] += 1
-                    if (state["completed"] >= state["target"]
-                            and not done.triggered):
-                        done.succeed()
-
-                yield from client.call_async(
-                    "echo", b"x" * min(self.rpc_bytes, 8), self.rpc_bytes,
-                    callback=on_complete,
-                )
-
+        load = LoadDriver(self.sim, None, sum(quotas.values()),
+                          self.clients.values())
         for index, tenant in enumerate(self.tenants):
             interarrival = Exponential(
                 mean=1000.0 / loads_mrps[tenant], rng=seed + index
             )
-            sim.spawn(issue(self.clients[tenant], quotas[tenant],
-                            recorders[tenant], interarrival))
-
-        def waiter():
-            yield done
-
-        sim.run_until_done(sim.spawn(waiter()))
+            client = self.clients[tenant]
+            load.open(poisson_arrivals(self.sim, interarrival,
+                                       range(quotas[tenant])),
+                      _echo_call(client, self.rpc_bytes),
+                      record=recorders[tenant].record)
+        load.run(drain=False)
         if self.timeline is not None:
             self.timeline.stop()
         util = tenant_map = timeline = None

@@ -48,3 +48,43 @@ def test_quota_split_covers_exactly_nreq():
     assert r._client_quotas(10) == [4, 3, 3]
     assert r._client_quotas(3) == [1, 1, 1]
     assert r._client_quotas(2) == [1, 1, 0]
+
+
+def two_tier_graph():
+    from repro.apps.microservices import (
+        CallSpec,
+        MethodSpec,
+        ServiceGraph,
+        TierSpec,
+    )
+    from repro.sim.distributions import Constant
+
+    graph = ServiceGraph(seed=3)
+    graph.add_tier(TierSpec(name="backend", methods={
+        "handle": MethodSpec(compute=Constant(2000), response_bytes=32)}))
+    graph.add_tier(TierSpec(name="frontend", methods={
+        "serve": MethodSpec(compute=Constant(1000),
+                            stages=[[CallSpec("backend", payload_bytes=64)]],
+                            response_bytes=48)}))
+    return graph
+
+
+def test_graph_run_load_issues_the_remainder():
+    # Two load threads used to issue 401 // 2 * 2 == 400 requests.
+    result = two_tier_graph().run_load("frontend", {"serve": 1.0},
+                                       load_krps=20, nreq=401, warmup_ns=0)
+    assert result.count == 401
+
+
+def test_graph_run_load_single_request():
+    # nreq // 2 == 0 used to issue nothing and fail in summary().
+    result = two_tier_graph().run_load("frontend", {"serve": 1.0},
+                                       load_krps=20, nreq=1, warmup_ns=0)
+    assert result.count == 1
+    assert result.throughput_krps == 0.0
+
+
+def test_graph_run_load_rejects_zero_nreq():
+    with pytest.raises(ValueError, match="nreq"):
+        two_tier_graph().run_load("frontend", {"serve": 1.0},
+                                  load_krps=20, nreq=0)
