@@ -42,6 +42,9 @@ from typing import Any, Callable, Generator, List, Optional
 #: pinning unbounded memory in the pools).
 _POOL_CAP = 4096
 
+#: Run-loop bound with no time limit.
+_FOREVER = float("inf")
+
 #: ``Event._recyclable`` values: not pooled / Timeout pool / control pool.
 _NO_POOL, _TIMEOUT_POOL, _CONTROL_POOL = 0, 1, 2
 
@@ -319,69 +322,13 @@ class Simulator:
         any events scheduled later stay on the heap (the simulator can be
         resumed with another ``run`` call).
         """
-        if until is not None and until < self.now:
+        if until is None:
+            self._dispatch(_FOREVER, None)
+            return
+        if until < self.now:
             raise SimulationError(f"until={until} is in the past (now={self.now})")
-        # The loop body inlines the dual-queue pop of _pop_next, the
-        # single-callback dispatch of Event._run_callbacks, and the pool
-        # recycling: at one pooled event per timeout/resume cycle, the
-        # method-call overhead of the factored versions is the single
-        # largest kernel cost.
-        heap = self._heap
-        nowq = self._nowq
-        pop = heappop
-        popleft = nowq.popleft
-        tfree = self._timeout_free
-        cfree = self._control_free
-        now = self.now
-        while True:
-            if nowq:
-                if heap and heap[0][0] <= now:
-                    head = pop(heap)
-                    now = self.now = head[0]
-                    event = head[2]
-                else:
-                    event = popleft()
-            elif heap:
-                when = heap[0][0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
-                event = pop(heap)[2]
-                now = self.now = when
-            else:
-                break
-            callbacks = event.callbacks
-            recyclable = event._recyclable
-            if recyclable:
-                # Pooled single-shot event: dispatch without touching the
-                # ``processed`` flag (it is reset here anyway) and refile.
-                try:
-                    [callback] = callbacks
-                except ValueError:
-                    event._run_callbacks()
-                    event.processed = False
-                else:
-                    callbacks.clear()
-                    callback(event)
-                    if callbacks:
-                        callbacks.clear()
-                event.triggered = False
-                event.value = None
-                event._exception = None
-                free = tfree if recyclable == _TIMEOUT_POOL else cfree
-                if len(free) < _POOL_CAP:
-                    free.append(event)
-            else:
-                try:
-                    [callback] = callbacks
-                except ValueError:
-                    event._run_callbacks()
-                else:
-                    event.processed = True
-                    callbacks.clear()
-                    callback(event)
-        if until is not None:
-            self.now = until
+        self._dispatch(until, None)
+        self.now = until
 
     def inject(self, when: int, action: Callable[[], None],
                seq_key: Optional[int] = None) -> None:
@@ -439,14 +386,45 @@ class Simulator:
         Returns the number of events dispatched in this window.
         """
         if horizon is None:
-            horizon = float("inf")
+            return self._dispatch(_FOREVER, None)
         if self._nowq and self.now >= horizon:
             raise SimulationError(
                 f"horizon {horizon} is not ahead of pending work at {self.now}"
             )
-        # Same inlined pop/dispatch/recycle loop as run(); see the comment
-        # there. The only structural difference is the strict `< horizon`
-        # stop condition and the dispatched-event counter.
+        # Simulated time is integral: "before horizon" is "at or before
+        # horizon - 1".
+        return self._dispatch(horizon - 1, None)
+
+    def run_until_done(self, process: "Process") -> Any:
+        """Run until a given process finishes; return its value.
+
+        Raises the process's exception if it failed, and a
+        :class:`SimulationError` if the heap drains first (deadlock).
+        """
+        self._dispatch(_FOREVER, process)
+        if not process.triggered:
+            raise SimulationError(
+                "event heap drained before process completed (deadlock?)"
+            )
+        if process._exception is not None:
+            process.defuse()
+            raise process._exception
+        return process.value
+
+    def _dispatch(self, until, stop: Optional[Event]) -> int:
+        """The run loop: fire events due at or before ``until``.
+
+        Returns when the queues drain, the next event lies past ``until``
+        or ``stop`` (when given) has triggered; the clock is left at the
+        last event fired. Returns the number of events fired.
+
+        The body inlines the dual-queue pop of :meth:`_pop_next`, the
+        single-callback dispatch of :meth:`Event._run_callbacks` and the
+        pool recycling: at one pooled event per timeout/resume cycle, the
+        method-call overhead of the factored versions is the single
+        largest kernel cost. The public run methods are thin wrappers and
+        never call each other, so each stays separately patchable.
+        """
         heap = self._heap
         nowq = self._nowq
         pop = heappop
@@ -455,7 +433,7 @@ class Simulator:
         cfree = self._control_free
         now = self.now
         count = 0
-        while True:
+        while stop is None or not stop.triggered:
             if nowq:
                 if heap and heap[0][0] <= now:
                     head = pop(heap)
@@ -465,7 +443,7 @@ class Simulator:
                     event = popleft()
             elif heap:
                 when = heap[0][0]
-                if when >= horizon:
+                if when > until:
                     break
                 event = pop(heap)[2]
                 now = self.now = when
@@ -503,68 +481,3 @@ class Simulator:
                     callbacks.clear()
                     callback(event)
         return count
-
-    def run_until_done(self, process: "Process") -> Any:
-        """Run until a given process finishes; return its value.
-
-        Raises the process's exception if it failed. Uses the same inlined
-        pop/dispatch/recycle loop as :meth:`run` (not per-event ``step()``
-        calls), keeping the deadlock :class:`SimulationError` behavior.
-        """
-        heap = self._heap
-        nowq = self._nowq
-        pop = heappop
-        popleft = nowq.popleft
-        tfree = self._timeout_free
-        cfree = self._control_free
-        now = self.now
-        while not process.triggered:
-            if nowq:
-                if heap and heap[0][0] <= now:
-                    head = pop(heap)
-                    now = self.now = head[0]
-                    event = head[2]
-                else:
-                    event = popleft()
-            elif heap:
-                head = pop(heap)
-                now = self.now = head[0]
-                event = head[2]
-            else:
-                raise SimulationError(
-                    "event heap drained before process completed (deadlock?)"
-                )
-            callbacks = event.callbacks
-            recyclable = event._recyclable
-            if recyclable:
-                # Pooled single-shot event: dispatch without touching the
-                # ``processed`` flag (it is reset here anyway) and refile.
-                try:
-                    [callback] = callbacks
-                except ValueError:
-                    event._run_callbacks()
-                    event.processed = False
-                else:
-                    callbacks.clear()
-                    callback(event)
-                    if callbacks:
-                        callbacks.clear()
-                event.triggered = False
-                event.value = None
-                event._exception = None
-                free = tfree if recyclable == _TIMEOUT_POOL else cfree
-                if len(free) < _POOL_CAP:
-                    free.append(event)
-            else:
-                try:
-                    [callback] = callbacks
-                except ValueError:
-                    event._run_callbacks()
-                else:
-                    event.processed = True
-                    callbacks.clear()
-                    callback(event)
-        if process._exception is not None:
-            process.defuse()
-            raise process._exception
-        return process.value
