@@ -13,10 +13,10 @@ scheduled for the same timestamp fire in scheduling order.
 Hot-path design (see docs/performance.md): a simulated RPC is dominated by
 the timeout/resume cycle, so the kernel avoids per-event overhead there.
 ``triggered``/``processed`` are plain slot attributes (no property
-indirection), scheduling is inlined into the trigger paths (one ``heappush``
-instead of a ``_schedule`` call), the run loops cache heap/bound-method
-lookups in locals, and short-lived kernel-owned events are recycled through
-free lists instead of being reallocated:
+indirection), scheduling is inlined into the trigger paths (one
+``heappush``, no helper call), the run loop caches heap/bound-method
+lookups in locals, and short-lived kernel-owned events are recycled
+through free lists instead of being reallocated:
 
 - :class:`Timeout` objects created via :meth:`Simulator.timeout` are
   returned to a pool once the run loop has fired their callbacks. This is
@@ -207,23 +207,15 @@ class Simulator:
         # Firing order stays exact: time only advances when this queue
         # is empty, so every heap entry due at the current time was
         # scheduled before everything queued here and fires first (see
-        # the pop logic in run()); within the queue, FIFO == scheduling
-        # order. Heap entries keep a seq tie-break for equal times.
+        # the pop logic in _dispatch()); within the queue, FIFO ==
+        # scheduling order. Heap entries keep a seq tie-break for equal
+        # times.
         self._nowq: deque = deque()
         self._seq: int = 0
         self._timeout_free: list = []
         self._control_free: list = []
 
     # -- scheduling ---------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: int = 0) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if delay:
-            heappush(self._heap, (self.now + delay, self._seq, event))
-            self._seq += 1
-        else:
-            self._nowq.append(event)
 
     def event(self) -> Event:
         """Create a new pending event (never pooled; safe to hold)."""
@@ -269,37 +261,23 @@ class Simulator:
 
     # -- execution ----------------------------------------------------------
 
-    def _pop_next(self) -> Event:
-        """Pop the next event in exact (time, seq) order, advancing ``now``.
-
-        Zero-delay events live in ``_nowq`` (all scheduled at the current
-        time, FIFO); timed events live in the heap. A heap entry due at the
-        current time always predates the queued events (time only advances
-        when the queue is empty), so it fires first.
-        """
-        nowq = self._nowq
-        if nowq:
-            heap = self._heap
-            if heap and heap[0][0] <= self.now:
-                when, _, event = heappop(heap)
-                self.now = when
-                return event
-            return nowq.popleft()
-        when, _, event = heappop(self._heap)
-        self.now = when
-        return event
-
     def step(self) -> None:
         """Process the next scheduled event.
 
         Raises :class:`SimulationError` when nothing is scheduled, like the
         kernel's other misuse paths (rather than leaking a bare
         ``IndexError`` from the heap). Events fired through ``step`` are
-        not recycled — only the batch run loops feed the pools.
+        not recycled — only the run loop feeds the pools.
         """
-        if not self._heap and not self._nowq:
+        nowq = self._nowq
+        heap = self._heap
+        if nowq and not (heap and heap[0][0] <= self.now):
+            event = nowq.popleft()
+        elif heap:
+            self.now, _, event = heappop(heap)
+        else:
             raise SimulationError("no scheduled events")
-        self._pop_next()._run_callbacks()
+        event._run_callbacks()
 
     def peek(self) -> Optional[int]:
         """Timestamp of the next event, or None if nothing is scheduled."""
@@ -418,12 +396,13 @@ class Simulator:
         or ``stop`` (when given) has triggered; the clock is left at the
         last event fired. Returns the number of events fired.
 
-        The body inlines the dual-queue pop of :meth:`_pop_next`, the
-        single-callback dispatch of :meth:`Event._run_callbacks` and the
-        pool recycling: at one pooled event per timeout/resume cycle, the
-        method-call overhead of the factored versions is the single
-        largest kernel cost. The public run methods are thin wrappers and
-        never call each other, so each stays separately patchable.
+        The body inlines the dual-queue pop (a heap entry due now predates
+        everything in the now-queue, so it fires first), the single-callback
+        dispatch of :meth:`Event._run_callbacks` and the pool recycling: at
+        one pooled event per timeout/resume cycle, the method-call overhead
+        of factored versions is the single largest kernel cost. The public
+        run methods are thin wrappers that never call each other, so each
+        stays separately patchable.
         """
         heap = self._heap
         nowq = self._nowq

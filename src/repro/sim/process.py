@@ -15,7 +15,7 @@ method: the generator's bound ``send``/``throw`` are cached at spawn, the
 resume callback itself is cached (``_resume_bound``) so registering a
 waiter allocates nothing, kernel-pooled control events carry the
 start/wakeup/interrupt scheduling, and finish/schedule steps push straight
-onto the heap instead of going through ``Simulator._schedule``.
+onto the simulator's heap and now-queue.
 """
 
 from __future__ import annotations
