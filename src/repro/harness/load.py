@@ -1,27 +1,11 @@
 """The load driver every rig shares: issue, count completions, drain.
 
-Dagger's evaluation (section 5) drives every experiment with one load
-generator, and so does this repo. A rig builds its deployment, makes a
-:class:`LoadDriver` with its own recorder, spawns one issue process per
-client, and calls :meth:`LoadDriver.run`. The rig supplies only its issue
-call: ``issue(item, callback)`` returns the generator that submits one
-request (``client.call_async(...)``, a KVS ``get_async``, a balancer pick
-plus ``call_async``) with ``callback`` as its completion hook.
-
-- **Closed loop** (:meth:`LoadDriver.closed`): keep ``window`` calls
-  outstanding, polling every :data:`POLL_NS` while the window is full;
-  latency runs from issue time (``call.issued_at``).
-- **Open loop** (:meth:`LoadDriver.open`): sleep until each intended
-  arrival of an iterator of ``(t_ns, item)`` pairs (see
-  :func:`poisson_arrivals`); latency runs from the intended time, so
-  queueing behind a saturated client counts, or from the issue time with
-  ``measure_from_issue``.
-
-Drop policy: lost calls never complete. A closed-loop client whose window
-has been full for :data:`IDLE_LIMIT_NS` of simulated time with no
-completion anywhere gives up; an open-loop run ends when the event heap
-drains. Either way :meth:`LoadDriver.run` fails the pending calls, drains
-the simulator and the rig reports what completed.
+A rig builds its deployment and its recorder, spawns one closed-loop
+(``window`` calls outstanding) or open-loop (intended-arrival) issue
+process per client on a :class:`LoadDriver`, and calls
+:meth:`LoadDriver.run`. The rig supplies only ``issue(item, callback)``:
+the generator that submits one request with ``callback`` as its
+completion hook. See docs/architecture.md, "Load driver".
 """
 
 from __future__ import annotations
@@ -33,9 +17,8 @@ from repro.sim.kernel import SimulationError
 #: Closed-loop poll period while a client's window is full.
 POLL_NS = 100
 
-#: Simulated time without any completion after which a blocked closed-loop
-#: client declares its outstanding calls lost (the cluster watchdog's
-#: default idle limit, too).
+#: Simulated time without a completion after which a blocked closed-loop
+#: client gives up on its window (also the cluster watchdog's default).
 IDLE_LIMIT_NS = 50_000_000
 
 
@@ -50,9 +33,9 @@ def split(nreq: int, parts: int) -> List[int]:
 def poisson_arrivals(sim, interarrival, items: Iterable):
     """``(t_ns, item)`` per item, spaced by ``interarrival`` samples.
 
-    The clock starts at the first ``next()`` and each gap is drawn when
-    the issue process asks for its next arrival — one draw per request,
-    in issue order, even when clients share one distribution.
+    The clock starts at the first ``next()``; each gap is drawn when the
+    issue process asks for its next arrival, so clients sharing one
+    distribution draw in issue order.
     """
     next_arrival = sim.now
     for item in items:
@@ -63,12 +46,11 @@ def poisson_arrivals(sim, interarrival, items: Iterable):
 class LoadDriver:
     """Issue processes, completion counting and the end of one run.
 
-    ``record(start_ns, finish_ns)`` receives every completion's latency
-    interval. ``target`` completions end :meth:`run`; ``None`` means the
-    run ends when the simulator drains (the sharded mesh). ``clients``
-    are the RPC clients whose pending calls fail when calls are lost.
-    ``issued`` holds each issue process's count, bumped *before* its
-    request is submitted.
+    ``record(start_ns, finish_ns)`` receives each completion. ``target``
+    completions end :meth:`run` (``None``: the run ends when the simulator
+    drains). ``clients`` are the RPC clients whose pending calls fail when
+    calls are lost. ``issued`` holds each issue process's count, bumped
+    *before* its request is submitted.
     """
 
     def __init__(self, sim, record: Callable[[int, int], None],
@@ -152,7 +134,8 @@ class LoadDriver:
         try:
             sim.run_until_done(sim.spawn(waiter()))
         except SimulationError:
-            pass  # the heap drained first: calls were lost
+            if sim.has_pending():
+                raise  # a process failed; only a drained heap means loss
         if self.completed != self.target:
             for client in self.clients:
                 client.fail_pending("lost: no completion")
