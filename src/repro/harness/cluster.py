@@ -727,14 +727,14 @@ class ClusterRig:
 
         recorder = LatencyRecorder(warmup_ns=warmup_ns, mode=mode)
         deadline_ns = int(deadline_us * 1000)
-        slo = {"met": 0, "total": 0}
+        slo_met = 0
 
         def record(intended, finish):
+            # Post-warmup completions are exactly the recorder's samples.
+            nonlocal slo_met
             recorder.record(intended, finish)
-            if finish >= warmup_ns:
-                slo["total"] += 1
-                if finish - intended <= deadline_ns:
-                    slo["met"] += 1
+            if finish >= warmup_ns and finish - intended <= deadline_ns:
+                slo_met += 1
 
         load = LoadDriver(sim, record, nreq,
                           [client for per_tier in clients
@@ -811,7 +811,7 @@ class ClusterRig:
                                       stats.p99_us)
         else:
             mean_us = p50_us = p90_us = p99_us = 0.0
-        slo_total = slo["total"]
+        slo_total = recorder.count
         tiers = {
             name: {
                 "initial": pool.deployment.initial,
@@ -845,9 +845,9 @@ class ClusterRig:
             p50_us=round(p50_us, 3),
             p90_us=round(p90_us, 3),
             p99_us=round(p99_us, 3),
-            slo_met=slo["met"],
+            slo_met=slo_met,
             slo_total=slo_total,
-            slo_attainment=(round(slo["met"] / slo_total, 4)
+            slo_attainment=(round(slo_met / slo_total, 4)
                             if slo_total else 0.0),
             tiers=tiers,
             scaling_events=list(self.scaling_events),

@@ -87,10 +87,10 @@ class LoadDriver:
         issued = self.issued
         for item in items:
             while client.outstanding >= window:
-                if (self.done.triggered or sim.now - self._last_completion_ns
-                        >= IDLE_LIMIT_NS):
-                    if not self.done.triggered:
-                        self.done.succeed()  # the window holds lost calls
+                if self.done.triggered:
+                    return  # another client gave up
+                if sim.now - self._last_completion_ns >= IDLE_LIMIT_NS:
+                    self.done.succeed()  # the window holds lost calls
                     return
                 yield POLL_NS
             issued[index] += 1

@@ -180,6 +180,11 @@ class Timeout(Event):
             sim._nowq.append(self)
 
 
+#: ``stop`` for run loops that stop only on time or an empty heap: an
+#: event of no simulator, never triggered.
+_NEVER = Event(None)
+
+
 class Simulator:
     """The event loop.
 
@@ -301,11 +306,11 @@ class Simulator:
         resumed with another ``run`` call).
         """
         if until is None:
-            self._dispatch(_FOREVER, None)
+            self._dispatch(_FOREVER, _NEVER)
             return
         if until < self.now:
             raise SimulationError(f"until={until} is in the past (now={self.now})")
-        self._dispatch(until, None)
+        self._dispatch(until, _NEVER)
         self.now = until
 
     def inject(self, when: int, action: Callable[[], None],
@@ -364,14 +369,14 @@ class Simulator:
         Returns the number of events dispatched in this window.
         """
         if horizon is None:
-            return self._dispatch(_FOREVER, None)
+            return self._dispatch(_FOREVER, _NEVER)
         if self._nowq and self.now >= horizon:
             raise SimulationError(
                 f"horizon {horizon} is not ahead of pending work at {self.now}"
             )
         # Simulated time is integral: "before horizon" is "at or before
         # horizon - 1".
-        return self._dispatch(horizon - 1, None)
+        return self._dispatch(horizon - 1, _NEVER)
 
     def run_until_done(self, process: "Process") -> Any:
         """Run until a given process finishes; return its value.
@@ -389,12 +394,12 @@ class Simulator:
             raise process._exception
         return process.value
 
-    def _dispatch(self, until, stop: Optional[Event]) -> int:
+    def _dispatch(self, until, stop: Event) -> int:
         """The run loop: fire events due at or before ``until``.
 
         Returns when the queues drain, the next event lies past ``until``
-        or ``stop`` (when given) has triggered; the clock is left at the
-        last event fired. Returns the number of events fired.
+        or ``stop`` has triggered; the clock is left at the last event
+        fired. Returns the number of events fired.
 
         The body inlines the dual-queue pop (a heap entry due now predates
         everything in the now-queue, so it fires first), the single-callback
@@ -412,7 +417,7 @@ class Simulator:
         cfree = self._control_free
         now = self.now
         count = 0
-        while stop is None or not stop.triggered:
+        while not stop.triggered:
             if nowq:
                 if heap and heap[0][0] <= now:
                     head = pop(heap)
