@@ -1,11 +1,11 @@
 """Declarative microservice tiers.
 
 A :class:`TierSpec` describes one tier: its methods (compute + downstream
-fanout), its threading model, and its placement. The graph builder turns a
-spec into a :class:`Microservice`: an RPC server over the tier's own NIC
-instance plus per-thread RPC clients to every downstream tier (each handler
-thread owns its own client flows, which keeps ring access lock-free, as in
-the paper's threading model, Fig 7).
+fanout), its threading model, and its placement. The deployer
+(:mod:`repro.apps.microservices.deploy`) turns a spec into replicas: an RPC
+server over each replica's own NIC instance plus per-thread RPC clients to
+every downstream tier (each handler thread owns its own client flows, which
+keeps ring access lock-free, as in the paper's threading model, Fig 7).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
+from repro.rpc import ThreadingModel
 from repro.sim.distributions import Constant, Distribution
 
 SizeLike = Union[int, Distribution]
@@ -97,97 +97,3 @@ class TierSpec:
                     if call.target not in targets:
                         targets.append(call.target)
         return targets
-
-
-class Microservice:
-    """A built tier: server + per-thread downstream clients."""
-
-    def __init__(self, spec: TierSpec, graph):
-        self.spec = spec
-        self.graph = graph
-        self.stack = None  # set by the graph builder
-        self.server: Optional[RpcThreadedServer] = None
-        self.dispatch_threads = []
-        self.worker_threads = []
-        # thread -> target tier name -> RpcClient
-        self.clients: Dict[object, Dict[str, RpcClient]] = {}
-        self._next_client_flow = spec.num_dispatch_threads
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def handler_threads(self) -> List:
-        """Threads that can run handlers (and thus issue nested calls)."""
-        if self.spec.threading is ThreadingModel.WORKER:
-            return list(self.worker_threads)
-        return list(self.dispatch_threads)
-
-    def required_flows(self) -> int:
-        """NIC flows: one per dispatch thread + one per (handler, target)."""
-        handler_count = (self.spec.num_workers
-                         if self.spec.threading is ThreadingModel.WORKER
-                         else self.spec.num_dispatch_threads)
-        return (self.spec.num_dispatch_threads
-                + handler_count * len(self.spec.downstream_targets))
-
-    def alloc_client_flow(self) -> int:
-        flow = self._next_client_flow
-        self._next_client_flow += 1
-        return flow
-
-    def client_for(self, thread, target: str) -> RpcClient:
-        try:
-            return self.clients[thread][target]
-        except KeyError:
-            raise KeyError(
-                f"tier {self.name}: thread {getattr(thread, 'name', thread)} "
-                f"has no client for target {target!r}"
-            ) from None
-
-    # -- handler construction ------------------------------------------------
-
-    def make_handler(self, method_name: str, method: MethodSpec):
-        tracer = self.graph.tracer
-
-        rng = self.graph.rng
-
-        def handler(ctx, payload):
-            compute = method.compute.sample_ns()
-            if compute:
-                yield from ctx.exec(compute)
-            tracer.record_compute(self.name, compute)
-            request_key = None
-            if method.request_key:
-                # One key per request: inherited from the caller when it
-                # forwarded one, else freshly drawn.
-                request_key = ctx.packet.lb_key
-                if request_key is None:
-                    request_key = rng.getrandbits(32)
-            nested_wait = 0
-            for stage in method.stages:
-                stage_start = ctx.sim.now
-                pending = []
-                for call_spec in stage:
-                    client = self.client_for(ctx.thread, call_spec.target)
-                    call = yield from client.call_async(
-                        call_spec.method,
-                        b"",
-                        sample_size(call_spec.payload_bytes),
-                        lb_key=request_key if call_spec.use_key else None,
-                    )
-                    pending.append((call_spec.target, call))
-                for target, call in pending:
-                    yield call.event
-                    tracer.record_call(target, call.latency_ns,
-                                       rpc_id=call.rpc_id)
-                nested_wait += ctx.sim.now - stage_start
-            if method.stages:
-                tracer.record_nested(self.name, ctx.packet.rpc_id,
-                                     nested_wait)
-            if method.post_compute_ns:
-                ctx.defer(method.post_compute_ns)
-            return b"", sample_size(method.response_bytes)
-
-        return handler

@@ -97,18 +97,17 @@ class Tracer:
         return self._decompose(tier, len(latencies), p50, p99, app_p50)
 
     def e2e_breakdown(self) -> TierBreakdown:
-        """End-to-end bar: application share = sum of tier computes on the
-        critical path is not observable here, so the entry tier's compute
-        stream keyed under 'e2e' is used when recorded."""
+        """End-to-end bar: median and tail of the request latency.
+
+        The application share is 0: the sum of tier computes on a
+        request's critical path is not observable from per-tier streams,
+        so the whole median splits into transport and RPC.
+        """
         if not self.e2e_latencies:
             raise KeyError("no end-to-end latencies recorded")
         p50 = percentile(self.e2e_latencies, 50)
         p99 = percentile(self.e2e_latencies, 99)
-        computes = self.computes.get("e2e", [0])
-        app_p50 = percentile(computes, 50)
-        return self._decompose(
-            "e2e", len(self.e2e_latencies), p50, p99, app_p50
-        )
+        return self._decompose("e2e", len(self.e2e_latencies), p50, p99, 0)
 
     def _decompose(self, tier: str, count: int, p50: float, p99: float,
                    app_p50: float) -> TierBreakdown:

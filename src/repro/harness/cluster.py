@@ -26,9 +26,13 @@ at rack scale:
   *intended* arrival time (open-loop semantics), in exact or sketch
   latency-recording mode.
 
-Determinism: replica connections use explicit connection ids allocated
-from :data:`_CLUSTER_CONNECTION_BASE` (a pure function of build order,
-never the process-global counter), every RNG is seeded, and the whole
+Replicas, wiring, handlers and the load generator come from the shared
+deployer (:mod:`repro.apps.microservices.deploy`); this module adds the
+placement, the autoscaler, the watchdog and the session driver.
+
+Determinism: replica connections use the deployment's explicit
+connection ids (a pure function of build order, never the process-global
+counter), every RNG is seeded, and the whole
 topology lives in one :class:`~repro.sim.kernel.Simulator` — two runs
 with the same parameters are bit-identical, including back-to-back runs
 in one process. That is the contract ``benchmarks/perf/bench_cluster.py``
@@ -46,53 +50,30 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.apps.microservices.tier import MethodSpec, TierSpec, sample_size
+from repro.apps.microservices.deploy import (
+    LB_POLICIES,  # noqa: F401 (re-exported)
+    Deployment,
+    LoadBalancer,
+    Replica,
+    ReplicaPool,
+    TierDeployment,
+)
+from repro.apps.microservices.tier import MethodSpec, TierSpec
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.cluster import Cluster
-from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.platform import MachineConfig
-from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
 from repro.harness.load import IDLE_LIMIT_NS, LoadDriver
 from repro.sim import LatencyRecorder, Simulator
 from repro.sim.distributions import make_rng
 from repro.sim.sharded import canonical_json
 from repro.sim.stats import _check_mode
-from repro.stacks import DaggerStack, connect
 from repro.workloads.sessions import (
     MODULATIONS,
     SessionWorkload,
     make_modulation,
 )
-
-#: Base for explicit cluster connection ids. Far above anything
-#: ``next_connection_id()`` hands out in-process (and above the mesh
-#: harness's 1M block), so cluster wiring never consumes — and never
-#: depends on — the process-global connection counter. That counter is
-#: never reset, so depending on it would make two in-process runs differ
-#: (connection-cache indexing is id-dependent).
-_CLUSTER_CONNECTION_BASE = 2_000_000
-
-#: Replica-selection policies, in documentation order.
-LB_POLICIES = ("round-robin", "least-outstanding", "p2c")
-
-
-@dataclass(frozen=True)
-class TierDeployment:
-    """Replica bounds for one tier."""
-
-    initial: int = 1
-    min_replicas: int = 1
-    max_replicas: int = 3
-
-    def __post_init__(self):
-        if not (1 <= self.min_replicas <= self.initial
-                <= self.max_replicas):
-            raise ValueError(
-                f"need 1 <= min <= initial <= max, got "
-                f"{self.min_replicas}/{self.initial}/{self.max_replicas}"
-            )
 
 
 @dataclass(frozen=True)
@@ -137,128 +118,6 @@ class AutoscalerConfig:
             )
         if self.cooldown < 0:
             raise ValueError("cooldown must be >= 0")
-
-
-class Replica:
-    """One deployed copy of a tier: stack + server + threads on one machine."""
-
-    def __init__(self, spec: TierSpec, index: int, machine_id: int):
-        self.spec = spec
-        self.index = index
-        self.machine_id = machine_id
-        self.address = f"{spec.name}.{index}"
-        self.stack: Optional[DaggerStack] = None
-        self.server: Optional[RpcThreadedServer] = None
-        self.cores: List = []
-        self.dispatch_threads: List = []
-        self.worker_threads: List = []
-        #: thread -> target tier -> (RpcClient, conn id per target replica)
-        self.clients: Dict[object, Dict[str, Tuple[RpcClient, List[int]]]] = {}
-        self._usages: List[Tuple[object, object]] = []  # (usage, core)
-        self._next_client_flow = spec.num_dispatch_threads
-
-    @property
-    def num_threads(self) -> int:
-        return self.spec.num_dispatch_threads + self.spec.num_workers
-
-    @property
-    def handler_threads(self) -> List:
-        if self.spec.threading is ThreadingModel.WORKER:
-            return list(self.worker_threads)
-        return list(self.dispatch_threads)
-
-    def alloc_client_flow(self) -> int:
-        flow = self._next_client_flow
-        self._next_client_flow += 1
-        return flow
-
-    def busy_ns(self, now: int) -> float:
-        """Exact slot-busy integral of this replica's dedicated cores."""
-        return sum(usage.busy_integral(now, core.slots._in_use)
-                   for usage, core in self._usages)
-
-
-class ReplicaPool:
-    """All replicas of one tier plus the balancer's per-replica state."""
-
-    def __init__(self, spec: TierSpec, deployment: TierDeployment):
-        self.spec = spec
-        self.deployment = deployment
-        self.replicas: List[Replica] = []
-        self.active: List[int] = list(range(deployment.initial))
-        self.outstanding: List[int] = [0] * deployment.max_replicas
-        self.issued: List[int] = [0] * deployment.max_replicas
-        self.scale_ups = 0
-        self.scale_downs = 0
-        self.peak_active = deployment.initial
-        self._rr = -1
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    def note_issue(self, index: int) -> None:
-        self.outstanding[index] += 1
-        self.issued[index] += 1
-
-    def make_done_callback(self, index: int):
-        def on_done(call):
-            self.outstanding[index] -= 1
-
-        return on_done
-
-    def activate_next(self) -> Optional[int]:
-        """Activate the lowest-index inactive replica, if any."""
-        active = set(self.active)
-        for index in range(len(self.replicas)):
-            if index not in active:
-                self.active.append(index)
-                self.active.sort()
-                self.scale_ups += 1
-                self.peak_active = max(self.peak_active, len(self.active))
-                return index
-        return None
-
-    def drain_last(self) -> Optional[int]:
-        """Drain the highest-index active replica (in-flight calls finish)."""
-        if len(self.active) <= self.deployment.min_replicas:
-            return None
-        index = self.active.pop()
-        self.scale_downs += 1
-        return index
-
-    def requests_handled(self) -> int:
-        return sum(replica.server.requests_handled
-                   for replica in self.replicas)
-
-
-class LoadBalancer:
-    """Seeded replica selection over a pool's active set."""
-
-    def __init__(self, policy: str, seed=0):
-        if policy not in LB_POLICIES:
-            raise ValueError(
-                f"policy must be one of {LB_POLICIES}, got {policy!r}"
-            )
-        self.policy = policy
-        self.rng = make_rng(seed)
-
-    def pick(self, pool: ReplicaPool) -> int:
-        active = pool.active
-        if len(active) == 1:
-            return active[0]
-        if self.policy == "round-robin":
-            pool._rr += 1
-            return active[pool._rr % len(active)]
-        outstanding = pool.outstanding
-        if self.policy == "least-outstanding":
-            return min(active, key=lambda i: (outstanding[i], i))
-        # p2c: two uniform picks without replacement, keep the shorter
-        # queue (ties break to the lower index — deterministic).
-        first, second = self.rng.sample(active, 2)
-        if (outstanding[second], second) < (outstanding[first], first):
-            return second
-        return first
 
 
 @dataclass
@@ -316,6 +175,11 @@ def cluster_signature(result) -> str:
     return canonical_json(data)
 
 
+def _cores_needed(replica: Replica, smt: int) -> int:
+    """Dedicated cores one replica's threads fill, ``smt`` per core."""
+    return -(-replica.num_threads // smt)
+
+
 class ClusterRig:
     """N machines, replica pools, a balancer, and an autoscaler.
 
@@ -360,20 +224,17 @@ class ClusterRig:
         self.switch = self.cluster.switch
         self.rng = make_rng(seed)
         self.balancer = LoadBalancer(policy, seed=seed + 1)
-        self.pools: Dict[str, ReplicaPool] = {}
+        self.deployment = Deployment(self.sim, calibration, self.switch,
+                                     self.rng, balancer=self.balancer)
+        self.pools: Dict[str, ReplicaPool] = self.deployment.pools
         self.scaling_events: List[dict] = []
         self.collector = None
-        self._next_connection = _CLUSTER_CONNECTION_BASE
         self._next_core = [0] * machines
         self._machine_cursor = 0
         self._ran = False
 
         deployments = deployments or {}
-        names = set()
         for spec in tiers:
-            if spec.name in names:
-                raise ValueError(f"duplicate tier name {spec.name!r}")
-            names.add(spec.name)
             for method_name, method in spec.methods.items():
                 if not isinstance(method, MethodSpec):
                     raise ValueError(
@@ -382,30 +243,33 @@ class ClusterRig:
                         "declarative MethodSpec tiers only"
                     )
             for target in spec.downstream_targets:
-                if target not in names:
+                if target not in self.pools:
                     raise ValueError(
                         f"tier {spec.name}: downstream tier {target!r} "
                         "must be declared before its callers"
                     )
-        for spec in tiers:
-            self.pools[spec.name] = ReplicaPool(
-                spec, deployments.get(spec.name, deployment)
-            )
-        self._build()
+            self.deployment.add(spec, deployments.get(spec.name, deployment))
+        # Big-first placement (stable within equal sizes): a 12-core
+        # replica must find a contiguous block, so it claims machines
+        # before the one-core leaves fragment them. Connection wiring stays
+        # in declaration order, so ids are unaffected.
+        smt = self.cluster.machines[0].config.smt
+        self.deployment.build(
+            sorted(self.pools.values(),
+                   key=lambda pool: -_cores_needed(pool.replicas[0], smt)),
+            self._place,
+        )
         if telemetry:
             self._enable_telemetry(telemetry_interval_ns)
 
     # -- construction -----------------------------------------------------------
 
-    def _alloc_connection(self) -> int:
-        connection_id = self._next_connection
-        self._next_connection += 1
-        return connection_id
-
-    def _place(self, num_threads: int, smt: int,
-               cores_per_machine: int) -> Tuple[int, int]:
-        """(machine, first core) of a dedicated core block, round-robin."""
-        cores_needed = -(-num_threads // smt)  # ceil
+    def _place(self, replica: Replica):
+        """A dedicated core block for one replica, machines round-robin."""
+        machines = self.cluster.machines
+        smt = machines[0].config.smt
+        cores_per_machine = len(machines[0].cores)
+        cores_needed = _cores_needed(replica, smt)
         if cores_needed > cores_per_machine:
             raise ValueError(
                 f"a replica needs {cores_needed} cores but machines have "
@@ -417,162 +281,22 @@ class ClusterRig:
             if start + cores_needed <= cores_per_machine:
                 self._next_core[machine_id] = start + cores_needed
                 self._machine_cursor = (machine_id + 1) % self.machines
-                return machine_id, start
-        demand = sum(
-            -(-pool.replicas[0].num_threads // smt
-              ) * len(pool.replicas) if pool.replicas else 0
-            for pool in self.pools.values()
-        )
+                machine = machines[machine_id]
+                replica.machine_id = machine_id
+                replica.cores = [machine.core(start + i)
+                                 for i in range(cores_needed)]
+                for core in replica.cores:
+                    core.enable_usage()
+                return machine, [start + i // smt
+                                 for i in range(replica.num_threads)]
+        demand = sum(_cores_needed(replica, smt)
+                     for pool in self.pools.values()
+                     for replica in pool.replicas)
         raise ValueError(
             f"cluster out of cores: {self.machines} machines x "
-            f"{cores_per_machine} cores cannot host ~{demand} more "
-            "replica cores — add machines or lower max_replicas"
+            f"{cores_per_machine} cores cannot host the {demand} replica "
+            "cores the tiers need — add machines or lower max_replicas"
         )
-
-    def _build(self) -> None:
-        smt = self.cluster.machines[0].config.smt
-        cores_per_machine = len(self.cluster.machines[0].cores)
-        # Pass 1: replicas — stack, server, threads on dedicated cores.
-        # Big-first placement (stable within equal sizes): a 12-core
-        # replica must find a contiguous block, so it claims machines
-        # before the one-core leaves fragment them. Connection wiring
-        # (pass 2) stays in declaration order, so ids are unaffected.
-        def _cores_needed(pool):
-            spec = pool.spec
-            return -(-(spec.num_dispatch_threads + spec.num_workers) // smt)
-
-        placement_order = sorted(
-            self.pools.values(),
-            key=lambda pool: -_cores_needed(pool),
-        )
-        for pool in placement_order:
-            spec = pool.spec
-            handler_count = (spec.num_workers
-                             if spec.threading is ThreadingModel.WORKER
-                             else spec.num_dispatch_threads)
-            num_flows = (spec.num_dispatch_threads
-                         + handler_count * len(spec.downstream_targets))
-            for index in range(pool.deployment.max_replicas):
-                replica = Replica(spec, index, 0)
-                machine_id, start_core = self._place(
-                    replica.num_threads, smt, cores_per_machine
-                )
-                replica.machine_id = machine_id
-                machine = self.cluster.machines[machine_id]
-                cores_needed = -(-replica.num_threads // smt)
-                replica.cores = [machine.core(start_core + i)
-                                 for i in range(cores_needed)]
-                replica._usages = [(core.enable_usage(), core)
-                                   for core in replica.cores]
-                replica.stack = DaggerStack(
-                    machine, self.switch, replica.address,
-                    hard=NicHardConfig(num_flows=max(1, num_flows),
-                                       rx_ring_entries=256),
-                    soft=NicSoftConfig(
-                        batch_size=spec.batch_size,
-                        auto_batch=spec.auto_batch,
-                        active_flows=spec.num_dispatch_threads,
-                        load_balancer=spec.load_balancer,
-                    ),
-                )
-                server = RpcThreadedServer(self.sim, self.calibration,
-                                           name=replica.address)
-                replica.server = server
-                for method_name, method in spec.methods.items():
-                    server.register_handler(
-                        method_name, self._make_handler(replica, method)
-                    )
-                threads = []
-                for i in range(replica.num_threads):
-                    core = replica.cores[i // smt]
-                    threads.append(machine.thread(
-                        core.core_id, name=f"{replica.address}-t{i}"
-                    ))
-                replica.worker_threads = threads[:spec.num_workers]
-                replica.dispatch_threads = threads[spec.num_workers:]
-                for i, thread in enumerate(replica.dispatch_threads):
-                    server.add_server_thread(
-                        replica.stack.port(i), thread,
-                        model=spec.threading,
-                        workers=(replica.worker_threads
-                                 if spec.threading is ThreadingModel.WORKER
-                                 else None),
-                    )
-                pool.replicas.append(replica)
-        # Pass 2: downstream clients — one client per (handler thread,
-        # target tier), carrying one connection per target replica over
-        # the same ring pair (the SRQ model of section 4.2).
-        for pool in self.pools.values():
-            for replica in pool.replicas:
-                for thread in replica.handler_threads:
-                    per_target: Dict[str, Tuple[RpcClient, List[int]]] = {}
-                    for target in replica.spec.downstream_targets:
-                        flow = replica.alloc_client_flow()
-                        per_target[target] = self._wire_client(
-                            replica.stack, flow, thread,
-                            self.pools[target],
-                            name=f"{replica.address}->{target}",
-                        )
-                    replica.clients[thread] = per_target
-        for pool in self.pools.values():
-            for replica in pool.replicas:
-                replica.server.start()
-
-    def _wire_client(self, stack: DaggerStack, flow: int, thread,
-                     target_pool: ReplicaPool,
-                     name: str) -> Tuple[RpcClient, List[int]]:
-        """One client on ``flow`` with a connection to every target replica."""
-        conn_ids = []
-        for target_replica in target_pool.replicas:
-            connection_id = self._alloc_connection()
-            connect(stack, flow, target_replica.stack, 0,
-                    connection_id=connection_id)
-            conn_ids.append(connection_id)
-        client = RpcClient(stack.port(flow), thread, conn_ids[0], name=name)
-        for connection_id in conn_ids[1:]:
-            client.add_connection(connection_id)
-        return client, conn_ids
-
-    def _make_handler(self, replica: Replica, method: MethodSpec):
-        """Replica-aware version of ``Microservice.make_handler``: every
-        downstream call is routed to a balancer-picked replica of the
-        target pool over the matching SRQ connection."""
-        rig = self
-
-        def handler(ctx, payload):
-            compute = method.compute.sample_ns()
-            if compute:
-                yield from ctx.exec(compute)
-            request_key = None
-            if method.request_key:
-                request_key = ctx.packet.lb_key
-                if request_key is None:
-                    request_key = rig.rng.getrandbits(32)
-            for stage in method.stages:
-                pending = []
-                for call_spec in stage:
-                    pool = rig.pools[call_spec.target]
-                    client, conn_ids = (
-                        replica.clients[ctx.thread][call_spec.target]
-                    )
-                    target = rig.balancer.pick(pool)
-                    pool.note_issue(target)
-                    call = yield from client.call_async(
-                        call_spec.method,
-                        b"",
-                        sample_size(call_spec.payload_bytes),
-                        lb_key=(request_key if call_spec.use_key else None),
-                        connection_id=conn_ids[target],
-                        callback=pool.make_done_callback(target),
-                    )
-                    pending.append(call)
-                for call in pending:
-                    yield call.event
-            if method.post_compute_ns:
-                ctx.defer(method.post_compute_ns)
-            return b"", sample_size(method.response_bytes)
-
-        return handler
 
     # -- telemetry --------------------------------------------------------------
 
@@ -683,47 +407,14 @@ class ClusterRig:
         if deadline_us <= 0:
             raise ValueError(f"deadline must be positive, got {deadline_us}")
 
-        entries: Dict[str, Tuple[str, str]] = {}
-        for key in workload.methods:
-            if "." in key:
-                tier_name, method = key.split(".", 1)
-            else:
-                if entry_tier is None:
-                    raise ValueError(
-                        f"mix key {key!r} has no tier and no entry_tier "
-                        "given"
-                    )
-                tier_name, method = entry_tier, key
-            if tier_name not in self.pools:
-                raise ValueError(f"unknown entry tier {tier_name!r}")
-            if method not in self.pools[tier_name].spec.methods:
-                raise ValueError(
-                    f"entry tier {tier_name} has no method {method!r}"
-                )
-            entries[key] = (tier_name, method)
-        entry_tiers = sorted({tier for tier, _ in entries.values()})
-
+        entries, entry_tiers = self.deployment.resolve_mix(workload.methods,
+                                                           entry_tier)
         sim = self.sim
-        loadgen_machine = self.cluster.machines[-1]
-        flows = num_load_threads * len(entry_tiers)
-        loadgen_stack = DaggerStack(
-            loadgen_machine, self.switch, "loadgen",
-            hard=NicHardConfig(num_flows=max(1, flows),
-                               rx_ring_entries=512),
-            soft=NicSoftConfig(batch_size=1, auto_batch=True),
+        smt = self.cluster.machines[-1].config.smt
+        loadgen_stack, clients = self.deployment.wire_loadgen(
+            self.cluster.machines[-1], num_load_threads,
+            lambda i: i // smt, entry_tiers,
         )
-        clients: List[Dict[str, Tuple[RpcClient, List[int]]]] = []
-        threads = loadgen_machine.threads(num_load_threads, start_core=0)
-        next_flow = 0
-        for i in range(num_load_threads):
-            per_tier: Dict[str, Tuple[RpcClient, List[int]]] = {}
-            for tier_name in entry_tiers:
-                per_tier[tier_name] = self._wire_client(
-                    loadgen_stack, next_flow, threads[i],
-                    self.pools[tier_name], name=f"loadgen{i}->{tier_name}",
-                )
-                next_flow += 1
-            clients.append(per_tier)
 
         recorder = LatencyRecorder(warmup_ns=warmup_ns, mode=mode)
         deadline_ns = int(deadline_us * 1000)
@@ -744,21 +435,14 @@ class ClusterRig:
         def issue_for(per_tier):
             def issue(arrival, callback):
                 tier_name, method = entries[arrival.method]
-                pool = self.pools[tier_name]
-                client, conn_ids = per_tier[tier_name]
-                target = self.balancer.pick(pool)
-                pool.note_issue(target)
-                done_cb = pool.make_done_callback(target)
-
-                def on_complete(call):
-                    done_cb(call)
-                    callback(call)
-
+                client, connection_id, on_done = self.deployment.route(
+                    tier_name, per_tier[tier_name], then=callback
+                )
                 return client.call_async(
                     method, b"", entry_payload_bytes,
                     lb_key=arrival.key,
-                    connection_id=conn_ids[target],
-                    callback=on_complete,
+                    connection_id=connection_id,
+                    callback=on_done,
                 )
 
             return issue
@@ -796,10 +480,7 @@ class ClusterRig:
         if self.collector is not None:
             self.collector.stop()
 
-        drops = loadgen_stack.drops + sum(
-            replica.stack.drops
-            for pool in self.pools.values() for replica in pool.replicas
-        )
+        drops = loadgen_stack.drops + self.deployment.drops
         if recorder.count >= 2:
             throughput_krps = recorder.throughput_rps() / 1e3
         else:

@@ -40,6 +40,7 @@ from repro.apps.microservices.social_network import (
     DEFAULT_MIX as SOCIAL_MIX,
     PROFILED_TIERS,
     social_network_graph,
+    social_network_tiers,
 )
 from repro.harness.sweep import SweepPoint, run_sweep
 from repro.obs import attribute_bottleneck
@@ -121,20 +122,13 @@ def _fig3_point(load_krps: float, nreq: int) -> List[Dict]:
 def _fig5_point(load_krps: float, shared: bool, nreq: int) -> Dict:
     """Sweep wrapper: one Fig 5 (load, core-placement) cell."""
     irq_cores = [0, 1, 2, 3]
-    tiers = (
-        "nginx", "compose_post", "media", "user", "unique_id",
-        "text", "user_mention", "url_shorten", "post_storage",
-        "home_timeline", "user_timeline",
-    )
-    if shared:
-        pins = {tier: irq_cores for tier in tiers}
-    else:
-        pins = {tier: [4, 5, 6, 7, 8, 9, 10, 11] for tier in tiers}
+    cores = irq_cores if shared else [4, 5, 6, 7, 8, 9, 10, 11]
+    pins = {spec.name: cores for spec in social_network_tiers()}
     graph = social_network_graph("linux-tcp", cores=pins)
     irq_threads = [graph.machine.thread(core, name=f"irq{core}")
                    for core in irq_cores]
-    for microservice in graph.tiers.values():
-        microservice.stack.irq_threads = irq_threads
+    for replica in graph.tiers.values():
+        replica.stack.irq_threads = irq_threads
     result = graph.run_load("nginx", SOCIAL_MIX, load_krps=load_krps,
                             nreq=nreq)
     return {

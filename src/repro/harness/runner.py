@@ -143,6 +143,14 @@ def _echo_call(client: RpcClient, rpc_bytes: int):
     return issue
 
 
+def _distinct_cores(threads: Sequence[SoftwareThread]) -> List:
+    """The distinct cores ``threads`` run on, in core-id order."""
+    cores = {}
+    for thread in threads:
+        cores.setdefault(thread.core.core_id, thread.core)
+    return [core for _, core in sorted(cores.items())]
+
+
 class EchoRig:
     """Client+server echo setup over a chosen stack, on one machine."""
 
@@ -258,13 +266,10 @@ class EchoRig:
 
             config = (chaos if isinstance(chaos, ChaosConfig)
                       else ChaosConfig.from_dict(chaos))
-            rig_cores = {}
-            for thread in client_threads + server_threads:
-                rig_cores.setdefault(thread.core.core_id, thread.core)
             self.chaos = ChaosInjector(self.sim, config)
             self.chaos.attach(self.switch,
-                              cores=[core for _, core
-                                     in sorted(rig_cores.items())],
+                              cores=_distinct_cores(client_threads
+                                                    + server_threads),
                               nics=nics)
         if trace:
             self.tracer = SpanTracer(max_spans=trace_max_spans)
@@ -289,11 +294,8 @@ class EchoRig:
             # The FPGA's shared CCI-P endpoints are one source: both NICs
             # arbitrate for them, so they live under a single component.
             collector.add_source("interconnect", self.machine.fpga)
-            used_cores = {}
-            for thread in client_threads + server_threads:
-                used_cores.setdefault(thread.core.core_id, thread.core)
-            for core_id, core in sorted(used_cores.items()):
-                collector.add_source(f"cpu.core{core_id}", core)
+            for core in _distinct_cores(client_threads + server_threads):
+                collector.add_source(f"cpu.core{core.core_id}", core)
             for i, client in enumerate(self.clients):
                 collector.add_source(f"client{i}", client)
             collector.add_source("server.rpc", self.server)
@@ -598,11 +600,8 @@ class MultiTenantEchoRig:
             self.vfpga.enable_usage()
             collector.add_source("nic", self.vfpga)
             collector.add_source("interconnect", self.machine.fpga)
-            used_cores = {}
-            for thread in client_threads + server_threads:
-                used_cores.setdefault(thread.core.core_id, thread.core)
-            for core_id, core in sorted(used_cores.items()):
-                collector.add_source(f"cpu.core{core_id}", core)
+            for core in _distinct_cores(client_threads + server_threads):
+                collector.add_source(f"cpu.core{core.core_id}", core)
             for tenant in self.tenants:
                 collector.add_source(
                     f"client.{tenant}", self.clients[tenant], tenant=tenant

@@ -191,3 +191,18 @@ def test_build_twice_rejected():
         graph.build()
     with pytest.raises(RuntimeError, match="already built"):
         graph.add_tier(TierSpec(name="late", methods={"m": MethodSpec()}))
+
+
+def test_run_load_rejects_zero_load_threads():
+    graph = two_tier_graph()
+    with pytest.raises(ValueError, match="num_load_threads"):
+        graph.run_load("frontend", {"serve": 1.0}, load_krps=1, nreq=10,
+                       num_load_threads=0)
+
+
+def test_graph_tier_is_a_one_replica_pool():
+    graph = two_tier_graph()
+    graph.build()
+    pools = graph.deployment.pools
+    assert [len(pool.replicas) for pool in pools.values()] == [1, 1]
+    assert graph.tiers["frontend"] is pools["frontend"].replicas[0]

@@ -73,6 +73,13 @@ def test_e2e_breakdown():
     assert breakdown.p50_us == pytest.approx(110.0)
 
 
+def test_e2e_breakdown_ignores_a_tier_named_e2e():
+    tracer = Tracer()
+    tracer.record_e2e(100_000)
+    tracer.record_compute("e2e", 90_000)
+    assert tracer.e2e_breakdown().app_fraction == 0.0
+
+
 def test_tiers_listing():
     tracer = Tracer()
     tracer.record_call("b", 1)

@@ -119,6 +119,12 @@ def test_replicas_spread_across_machines():
     assert len(rig.cluster.machines) == 3
 
 
+def test_rejects_zero_load_threads():
+    # A run without a load generator used to report its traffic as lost.
+    with pytest.raises(ValueError, match="num_load_threads"):
+        run_cluster_point(nreq=100, num_load_threads=0)
+
+
 def test_rig_is_single_use():
     rig = ClusterRig(_echo_tiers(), machines=1)
     workload = SessionWorkload(peak_rate_krps=20.0, seed=1)
