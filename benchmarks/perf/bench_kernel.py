@@ -41,7 +41,10 @@ the speedup claim is only meaningful between bit-identical simulations —
 unless ``--allow-signature-change`` is passed for a deliberate
 re-baseline PR (one that changes equal-timestamp event interleaving, like
 the zero-yield fast paths); then both signatures are recorded instead so
-the divergence is explicit in the committed JSON.
+the divergence is explicit in the committed JSON. When the mesh scenario
+runs too, the baseline tree's mesh signature is computed once (untimed) and
+held to the same rule: it must match, or, with
+``--allow-signature-change``, it is recorded as ``baseline.mesh_signature``.
 
 Usage::
 
@@ -146,6 +149,26 @@ def echo_subprocess(tree: str, nreq: int):
     ).stdout
     payload = json.loads(out.splitlines()[-1])
     return payload["elapsed"], tuple(payload["signature"])
+
+
+_MESH_SNIPPET = """\
+import json
+from repro.harness.mesh import run_echo_mesh
+r = run_echo_mesh(hosts={hosts}, shards=1, nreq_per_host={nreq})
+print(json.dumps({{"throughput_mrps": r.throughput_mrps, "p50_us": r.p50_us,
+    "p99_us": r.p99_us, "count": r.count, "events_total": r.events_total}}))
+"""
+
+
+def mesh_signature_subprocess(tree: str, nreq_per_host: int) -> dict:
+    """The mesh section's signature fields, computed by another tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         _MESH_SNIPPET.format(hosts=MESH_HOSTS, nreq=nreq_per_host)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def mesh_once(shards: int, nreq_per_host: int,
@@ -373,6 +396,18 @@ def main(argv=None) -> int:
                 "p99_us": baseline_sig[2],
                 "count": baseline_sig[3],
             }
+        if "mesh" in scenarios:
+            mesh_sig = mesh_signature_subprocess(args.baseline,
+                                                 MESH_NREQ_PER_HOST)
+            if mesh_sig != report["mesh"]["signature"]:
+                if not args.allow_signature_change:
+                    raise AssertionError(
+                        f"baseline tree's mesh signature differs "
+                        f"({mesh_sig} vs {report['mesh']['signature']}); "
+                        "pass --allow-signature-change only for a "
+                        "deliberate re-baseline"
+                    )
+                report["baseline"]["mesh_signature"] = mesh_sig
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -12,6 +12,10 @@ Each interface answers four questions for the NIC and the software stack:
    much shared endpoint bandwidth does it consume?
 4. Same, for the NIC-to-host direction.
 
+Questions 3 and 4 are one method, :meth:`CpuNicInterface.transfer_ns`; the
+base class turns its answer into a :meth:`CpuNicInterface.transfer`, a
+chain of timed callbacks the NIC data path hangs its next step on.
+
 ``TransferMode.FETCH`` interfaces (doorbell, UPI) have the NIC pull data out
 of software rings; ``TransferMode.PUSH`` (MMIO) has the CPU write payloads
 straight into the device, so there is no fetch step at all.
@@ -20,16 +24,34 @@ straight into the device, so there is no fetch step at all.
 from __future__ import annotations
 
 import enum
-from typing import Generator, Optional
+from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.hw.calibration import Calibration
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Event, Simulator
 from repro.sim.resources import Resource
 
 
 class TransferMode(enum.Enum):
     FETCH = "fetch"  # NIC pulls requests from host rings
     PUSH = "push"  # CPU pushes requests into the NIC over MMIO
+
+
+def _release_and_land(event: Event) -> None:
+    endpoint, latency_ns, callback, value = event.value
+    endpoint.release()
+    endpoint.sim.call_later(latency_ns, callback, value)
+
+
+def _resume_waiter(event: Event) -> None:
+    """Fire the waiting process's event inline, in this timer's slot.
+
+    The process forms yield a plain event and are resumed from the final
+    timer directly, the way a process's own ``yield latency`` would resume
+    it, rather than one now-queue hop later.
+    """
+    done = event.value
+    done.triggered = True
+    done._run_callbacks()
 
 
 class CpuNicInterface:
@@ -69,43 +91,66 @@ class CpuNicInterface:
         """Extra CPU ns per request for this interface (beyond ring store)."""
         raise NotImplementedError
 
-    # -- NIC-side fetch (host -> NIC) -----------------------------------------
+    # -- NIC-side fetch pacing -------------------------------------------------
 
     def issue_occupancy_ns(self, lines: int) -> int:
         """Serial occupancy of a flow's fetch FSM to issue one batched read."""
         raise NotImplementedError
 
-    def host_to_nic(self, lines: int) -> Generator:
-        """Transfer ``lines`` cache lines to the NIC; yields until arrival."""
+    # -- transfers (host -> NIC fetch, NIC -> host delivery) -----------------
+
+    def transfer_ns(self, lines: int, to_nic: bool) -> Tuple[int, int]:
+        """``(endpoint occupancy, one-way latency)`` of moving ``lines``."""
         raise NotImplementedError
 
-    # -- NIC-side delivery (NIC -> host) --------------------------------------
+    def transfer(self, lines: int, to_nic: bool,
+                 callback: Callable[[Event], None], value: Any = None) -> None:
+        """Move ``lines`` cache lines; ``callback(event)`` runs on arrival.
+
+        ``event.value`` is ``value``. The transfer holds the direction's
+        shared engine (read endpoint host->NIC, write endpoint NIC->host)
+        for the occupancy, FIFO behind earlier transfers, then lands after
+        the one-way latency. Every step is a timed callback in the slot the
+        equivalent process would take (see :meth:`Simulator.call_later`),
+        so no process is spawned per transfer.
+        """
+        self._account(lines, to_nic)
+        occupancy, latency = self.transfer_ns(lines, to_nic)
+        self._occupy(self.endpoint if to_nic else self.write_endpoint,
+                     occupancy, latency, callback, value)
+
+    def host_to_nic(self, lines: int) -> Generator:
+        """Process form of :meth:`transfer` to the NIC; yields until arrival."""
+        done = Event(self.sim)
+        self.transfer(lines, True, _resume_waiter, done)
+        yield done
 
     def nic_to_host(self, lines: int) -> Generator:
-        """Write ``lines`` cache lines into a host RX buffer."""
-        raise NotImplementedError
+        """Process form of :meth:`transfer` into a host RX buffer."""
+        done = Event(self.sim)
+        self.transfer(lines, False, _resume_waiter, done)
+        yield done
 
     # -- shared helpers --------------------------------------------------------
 
-    def _use_endpoint(self, occupancy_ns: int) -> Generator:
-        """Consume shared read-engine bandwidth (FIFO, pipelined)."""
-        endpoint = self.endpoint
-        if not endpoint.try_acquire():
-            yield endpoint.request()
-        try:
-            yield occupancy_ns
-        finally:
-            endpoint.release()
+    def _occupy(self, endpoint: Resource, occupancy_ns: int, latency_ns: int,
+                callback: Callable[[Event], None], value: Any) -> None:
+        """Hold ``endpoint`` (FIFO, pipelined), release it, then land."""
+        step = (endpoint, latency_ns, callback, value)
+        call_later = self.sim.call_later
+        if endpoint.try_acquire():
+            call_later(occupancy_ns, _release_and_land, step)
+        else:
+            endpoint.request().callbacks.append(
+                lambda _grant: call_later(occupancy_ns, _release_and_land,
+                                          step))
 
-    def _use_write_endpoint(self, occupancy_ns: int) -> Generator:
-        """Consume shared write-engine bandwidth (FIFO, pipelined)."""
-        endpoint = self.write_endpoint
-        if not endpoint.try_acquire():
-            yield endpoint.request()
-        try:
-            yield occupancy_ns
-        finally:
-            endpoint.release()
+    def _read(self, occupancy_ns: int, latency_ns: int) -> Generator:
+        """Process form of one read through the shared read engine."""
+        done = Event(self.sim)
+        self._occupy(self.endpoint, occupancy_ns, latency_ns,
+                     _resume_waiter, done)
+        yield done
 
     def _account(self, lines: int, to_nic: bool = True) -> None:
         self.lines_transferred += lines

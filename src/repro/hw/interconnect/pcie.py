@@ -13,9 +13,16 @@ guidelines as cited by the paper (section 4.4.1):
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Tuple
 
+from repro.hw.calibration import Calibration
 from repro.hw.interconnect.base import CpuNicInterface, TransferMode
+
+
+def _pcie_line_ns(calibration: Calibration) -> int:
+    """Shared-engine occupancy of one cache line over PCIe."""
+    return max(1, int(calibration.cache_line_bytes
+                      / calibration.eth_bytes_per_ns))
 
 
 class PcieMmioInterface(CpuNicInterface):
@@ -34,20 +41,13 @@ class PcieMmioInterface(CpuNicInterface):
         del lines
         return 0  # push mode: the NIC does not fetch
 
-    def host_to_nic(self, lines: int) -> Generator:
-        """Propagation of the MMIO write through the PCIe fabric."""
-        self._account(lines)
-        per_line = max(1, int(self.calibration.cache_line_bytes
-                              / self.calibration.eth_bytes_per_ns))
-        yield from self._use_endpoint(per_line * lines)
-        yield self.calibration.pcie_mmio_deliver_ns
-
-    def nic_to_host(self, lines: int) -> Generator:
-        self._account(lines, to_nic=False)
-        per_line = max(1, int(self.calibration.cache_line_bytes
-                              / self.calibration.eth_bytes_per_ns))
-        yield from self._use_write_endpoint(per_line * lines)
-        yield self.calibration.pcie_nic_to_host_ns
+    def transfer_ns(self, lines: int, to_nic: bool) -> Tuple[int, int]:
+        # The MMIO write's propagation through the PCIe fabric (to the NIC)
+        # or the NIC's RX-buffer write (to the host).
+        calibration = self.calibration
+        return (_pcie_line_ns(calibration) * lines,
+                calibration.pcie_mmio_deliver_ns if to_nic
+                else calibration.pcie_nic_to_host_ns)
 
 
 class PcieDoorbellInterface(CpuNicInterface):
@@ -75,22 +75,13 @@ class PcieDoorbellInterface(CpuNicInterface):
         # CPU-side doorbell is the real bottleneck for this interface).
         return 40 + 4 * lines
 
-    def host_to_nic(self, lines: int) -> Generator:
-        self._account(lines)
-        per_line = max(1, int(self.calibration.cache_line_bytes
-                              / self.calibration.eth_bytes_per_ns))
-        yield from self._use_endpoint(per_line * lines)
-        yield self.calibration.pcie_doorbell_fetch_ns
-
-    def nic_to_host(self, lines: int) -> Generator:
-        self._account(lines, to_nic=False)
-        per_line = max(1, int(self.calibration.cache_line_bytes
-                              / self.calibration.eth_bytes_per_ns))
-        yield from self._use_write_endpoint(per_line * lines)
-        yield self.calibration.pcie_nic_to_host_ns
+    def transfer_ns(self, lines: int, to_nic: bool) -> Tuple[int, int]:
+        calibration = self.calibration
+        return (_pcie_line_ns(calibration) * lines,
+                calibration.pcie_doorbell_fetch_ns if to_nic
+                else calibration.pcie_nic_to_host_ns)
 
     def raw_read(self) -> Generator:
         """One raw PCIe DMA read of a shared-memory line (§5.3: ~450 ns)."""
         self._account(1)
-        yield from self._use_endpoint(4)
-        yield self.calibration.pcie_dma_oneway_ns
+        yield from self._read(4, self.calibration.pcie_dma_oneway_ns)

@@ -18,7 +18,7 @@ Model:
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Tuple
 
 from repro.hw.interconnect.base import CpuNicInterface, TransferMode
 
@@ -41,42 +41,14 @@ class UpiInterface(CpuNicInterface):
         return (self.calibration.upi_flow_read_ns
                 + (lines - 1) * self.calibration.upi_read_line_ns)
 
-    def host_to_nic(self, lines: int) -> Generator:
-        # _account + _use_endpoint inlined: one transfer per batch per RPC,
-        # and the delegated helper generator is pure overhead on this path.
-        self.lines_transferred += lines
-        self.transactions += 1
-        self.lines_to_nic += lines
-        if self.tracer is not None:
-            self.tracer.record_transfer(self.name, lines, self.sim.now)
+    def transfer_ns(self, lines: int, to_nic: bool) -> Tuple[int, int]:
         calibration = self.calibration
-        endpoint = self.endpoint
-        if not endpoint.try_acquire():
-            yield endpoint.request()
-        try:
-            yield calibration.upi_endpoint_line_ns * lines
-        finally:
-            endpoint.release()
-        yield calibration.upi_oneway_ns
-
-    def nic_to_host(self, lines: int) -> Generator:
-        self.lines_transferred += lines
-        self.transactions += 1
-        self.lines_to_host += lines
-        if self.tracer is not None:
-            self.tracer.record_transfer(self.name, lines, self.sim.now)
-        calibration = self.calibration
-        endpoint = self.write_endpoint
-        if not endpoint.try_acquire():
-            yield endpoint.request()
-        try:
-            yield calibration.upi_endpoint_line_ns * lines
-        finally:
-            endpoint.release()
-        yield calibration.upi_nic_to_host_ns
+        return (calibration.upi_endpoint_line_ns * lines,
+                calibration.upi_oneway_ns if to_nic
+                else calibration.upi_nic_to_host_ns)
 
     def raw_read(self) -> Generator:
         """One raw coherent read of a shared line (§5.3: ~400 ns)."""
         self._account(1)
-        yield from self._use_endpoint(self.calibration.upi_endpoint_line_ns)
-        yield self.calibration.upi_oneway_ns
+        yield from self._read(self.calibration.upi_endpoint_line_ns,
+                              self.calibration.upi_oneway_ns)

@@ -102,6 +102,17 @@ class ConnectionManager:
 
     def lookup_miss(self, connection_id: int) -> Generator:
         """DRAM fallback after a recorded cache miss (see :meth:`lookup`)."""
+        backing = self.backing_entry(connection_id)
+        yield self.calibration.nic_connection_miss_ns
+        self.cache.insert(connection_id, backing)
+        return backing
+
+    def backing_entry(self, connection_id: int) -> ConnectionTuple:
+        """The DRAM copy a miss refills from; raises if it cannot recover.
+
+        The caller pays ``nic_connection_miss_ns`` and then re-inserts the
+        entry into the cache (as :meth:`lookup_miss` does).
+        """
         backing = self._dram.get(connection_id)
         if backing is None:
             raise ConnectionError_(f"connection {connection_id} not open")
@@ -112,6 +123,4 @@ class ConnectionManager:
                 f"connection {connection_id} evicted from the connection "
                 "cache and DRAM backing is disabled"
             )
-        yield self.calibration.nic_connection_miss_ns
-        self.cache.insert(connection_id, backing)
         return backing

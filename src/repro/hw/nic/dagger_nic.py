@@ -272,7 +272,7 @@ class DaggerNic:
             # WQE-by-MMIO: payload crosses as CPU-issued MMIO writes; no
             # ring, no fetch FSM.
             lines = packet.lines(self.calibration.cache_line_bytes)
-            self.sim.spawn(self._push_transfer(packet, lines, flow_id))
+            self.sim.call_later(0, self._issue_push, (packet, lines, flow_id))
             return
         tx_ring = self.flow_rings[flow_id].tx_ring
         if not tx_ring.try_put(packet):
@@ -285,9 +285,12 @@ class DaggerNic:
 
     # -- egress data path --------------------------------------------------------
 
-    def _push_transfer(self, packet: RpcPacket, lines: int,
-                       flow_id: int = 0) -> Generator:
-        yield from self.interface.host_to_nic(lines)
+    def _issue_push(self, event) -> None:
+        packet, lines, flow_id = event.value
+        self.interface.transfer(lines, True, self._pushed, (packet, flow_id))
+
+    def _pushed(self, event) -> None:
+        packet, flow_id = event.value
         self.monitor.fetched_rpcs += 1
         packet.stamp("nic_fetched", self.sim.now)
         if self.tracer is not None:
@@ -430,8 +433,8 @@ class DaggerNic:
 
     def _ingress_unit(self) -> Generator:
         # The ingress pipeline accepts one packet per cycle; the remaining
-        # stage latency is paid per packet in a spawned continuation so the
-        # unit pipelines like the RTL instead of serializing ~7 cycles.
+        # stage latency is paid per packet on a chain of timed callbacks so
+        # the unit pipelines like the RTL instead of serializing ~7 cycles.
         sim = self.sim
         pipeline = self.pipeline
         pipeline_try_acquire = pipeline.try_acquire
@@ -439,7 +442,7 @@ class DaggerNic:
         queue = self._ingress_queue
         get = queue.get
         try_get = queue.try_get
-        spawn = sim.spawn
+        call_later = sim.call_later
         steer = self._ingress_steer
         while True:
             packet = try_get()
@@ -451,7 +454,7 @@ class DaggerNic:
                 yield cycle_ns
             finally:
                 pipeline.release()
-            spawn(steer(packet))
+            call_later(0, steer, packet)
 
     def _crypto_ns(self, packet: RpcPacket) -> int:
         """Latency of the optional inline encryption stage (§4.5)."""
@@ -459,20 +462,45 @@ class DaggerNic:
         lines = packet.lines(cal.cache_line_bytes)
         return lines * cal.nic_crypto_cycles_per_line * cal.nic_cycle_ns
 
-    def _ingress_steer(self, packet: RpcPacket) -> Generator:
-        sim = self.sim
-        yield self._rpc_unit_ns
+    # The per-packet ingress chain: RPC unit -> optional inline crypto ->
+    # connection lookup (cache hit, or DRAM miss then re-insert) -> load
+    # balancer -> steer or NIC-terminated control. Each stage is one timed
+    # callback in the slot a per-packet process's ``yield`` would take.
+
+    def _ingress_steer(self, event) -> None:
+        self.sim.call_later(self._rpc_unit_ns, self._ingress_rpc_unit,
+                            event.value)
+
+    def _ingress_rpc_unit(self, event) -> None:
+        packet = event.value
         if self.hard.inline_crypto and packet.kind is not RpcKind.CONTROL:
-            yield self._crypto_ns(packet)
+            self.sim.call_later(self._crypto_ns(packet), self._ingress_lookup,
+                                packet)
+        else:
+            self._ingress_lookup(event)
+
+    def _ingress_lookup(self, event) -> None:
+        packet = event.value
         connection_manager = self.connection_manager
         hit, entry = connection_manager.cache.lookup(packet.connection_id)
         if hit:
-            yield connection_manager._hit_ns
+            self.sim.call_later(connection_manager._hit_ns,
+                                self._ingress_balance, (packet, entry))
         else:
-            entry = yield from connection_manager.lookup_miss(
-                packet.connection_id
-            )
-        yield self._lb_ns
+            entry = connection_manager.backing_entry(packet.connection_id)
+            self.sim.call_later(self.calibration.nic_connection_miss_ns,
+                                self._ingress_refill, (packet, entry))
+
+    def _ingress_refill(self, event) -> None:
+        packet, entry = event.value
+        self.connection_manager.cache.insert(packet.connection_id, entry)
+        self._ingress_balance(event)
+
+    def _ingress_balance(self, event) -> None:
+        self.sim.call_later(self._lb_ns, self._ingress_dispatch, event.value)
+
+    def _ingress_dispatch(self, event) -> None:
+        packet, entry = event.value
         if packet.kind is RpcKind.CONTROL:
             # NIC-terminated protocol packet: never reaches a host ring.
             from repro.rpc.congestion import CREDIT_METHOD

@@ -2,10 +2,11 @@
 
 One FSM per flow. For *fetch*-mode interfaces (UPI, PCIe doorbell) the FSM
 collects a CCI-P batch from the flow's TX ring, pays the serial issue
-occupancy (the per-flow throughput bound), and hands the in-flight transfer
-to an asynchronous completion process so reads pipeline across the bus's
-outstanding-request window, exactly like the RTL keeps 128 CCI-P requests
-in flight while bookkeeping is pending.
+occupancy (the per-flow throughput bound), and leaves the in-flight
+transfer to complete asynchronously (a chain of timed callbacks, see
+:meth:`~repro.hw.interconnect.base.CpuNicInterface.transfer`) so reads
+pipeline across the bus's outstanding-request window, exactly like the RTL
+keeps 128 CCI-P requests in flight while bookkeeping is pending.
 
 Batching semantics mirror the soft-config modes of Fig 11 (left):
 
@@ -91,7 +92,7 @@ class RxPath:
             nic.monitor.batched_rpcs += len(batch)
             # The transfer completes asynchronously (CCI-P keeps up to 128
             # requests in flight), so the read is issued immediately...
-            nic.sim.spawn(self._complete_fetch(flow_id, batch, lines))
+            nic.sim.call_later(0, self._issue_fetch, (flow_id, batch, lines))
             # ...but the FSM cannot issue the *next* read until this one's
             # issue slot drains (123 ns + 20 ns/extra line on UPI): serial
             # pacing bounds per-flow throughput without inflating the
@@ -100,14 +101,19 @@ class RxPath:
             self.issue_busy_ns += occupancy
             yield nic.sim.timeout(occupancy)
 
-    def _complete_fetch(self, flow_id: int, batch: List[RpcPacket],
-                        lines: int) -> Generator:
+    def _issue_fetch(self, event) -> None:
+        flow_id, batch, lines = event.value
+        self.nic.interface.transfer(lines, True, self._fetched,
+                                    (flow_id, batch))
+
+    def _fetched(self, event) -> None:
+        flow_id, batch = event.value
         nic = self.nic
-        yield from nic.interface.host_to_nic(lines)
+        now = nic.sim.now
         tracer = nic.tracer
         for pkt in batch:
             nic.monitor.fetched_rpcs += 1
-            pkt.stamp("nic_fetched", nic.sim.now)
+            pkt.stamp("nic_fetched", now)
             if tracer is not None:
-                tracer.record_packet(pkt, "nic_fetched", nic.sim.now)
+                tracer.record_packet(pkt, "nic_fetched", now)
             nic.enqueue_egress(flow_id, pkt)

@@ -131,7 +131,7 @@ class TxPath:
         read_and_release = self.request_table.read_and_release
         line_bytes = nic.calibration.cache_line_bytes
         issue_occupancy_ns = nic.interface.issue_occupancy_ns
-        spawn = nic.sim.spawn
+        call_later = nic.sim.call_later
         while True:
             # Zero-yield fast path: a non-empty FIFO hands the batch head
             # over synchronously; only an empty FIFO parks the scheduler.
@@ -151,30 +151,33 @@ class TxPath:
             lines = sum(pkt.lines(line_bytes) for pkt in batch)
             # The CCI-P write pipelines like the fetch path: the delivery is
             # issued immediately, the scheduler is paced by the issue slot.
-            spawn(self._complete_delivery(flow_id, batch, lines))
+            call_later(0, self._issue_delivery, (flow_id, batch, lines))
             occupancy = issue_occupancy_ns(lines)
             self.issue_busy_ns += occupancy
             yield occupancy
 
-    def _complete_delivery(self, flow_id: int, batch: List[RpcPacket],
-                           lines: int) -> Generator:
+    def _issue_delivery(self, event) -> None:
+        flow_id, batch, lines = event.value
+        self.nic.interface.transfer(lines, False, self._delivered,
+                                    (flow_id, batch))
+
+    def _delivered(self, event) -> None:
+        flow_id, batch = event.value
         nic = self.nic
-        rings = nic.flow_rings[flow_id]
-        yield from nic.interface.nic_to_host(lines)
+        now = nic.sim.now
+        rx_ring = nic.flow_rings[flow_id].rx_ring
         tracer = nic.tracer
         transport = nic.transport
         if transport is None:
             for pkt in batch:
-                pkt.stamp("host_delivered", nic.sim.now)
-                if rings.rx_ring.try_put(pkt):
+                pkt.stamp("host_delivered", now)
+                if rx_ring.try_put(pkt):
                     nic.monitor.delivered_rpcs += 1
                     if tracer is not None:
-                        tracer.record_packet(pkt, "host_delivered",
-                                             nic.sim.now)
+                        tracer.record_packet(pkt, "host_delivered", now)
                 else:
                     nic.monitor.dropped_rx_ring += 1
             return
-        rx_ring = rings.rx_ring
         for pkt in batch:
             # Ring-full is checked *before* committing delivery to the
             # transport, and duplicates are suppressed *before* the ring:
@@ -186,8 +189,8 @@ class TxPath:
                 continue
             if not transport.on_delivered(pkt):
                 continue  # duplicate: counted in TransportStats
-            pkt.stamp("host_delivered", nic.sim.now)
+            pkt.stamp("host_delivered", now)
             assert rx_ring.try_put(pkt)
             nic.monitor.delivered_rpcs += 1
             if tracer is not None:
-                tracer.record_packet(pkt, "host_delivered", nic.sim.now)
+                tracer.record_packet(pkt, "host_delivered", now)

@@ -81,11 +81,19 @@ class ToRSwitch:
 
     def _schedule(self, ingress: Callable[[Any], None], packet: Any,
                   delay_ns: int) -> None:
-        def _deliver():
-            yield delay_ns
-            ingress(packet)
+        # A zero-delay hop, then the wire delay: the slot rule of
+        # Simulator.call_later keeps the order of a ``yield delay_ns;
+        # ingress(packet)`` process without spawning one per packet.
+        self.sim.call_later(0, self._depart, (ingress, packet, delay_ns))
 
-        self.sim.spawn(_deliver())
+    def _depart(self, event) -> None:
+        ingress, packet, delay_ns = event.value
+        self.sim.call_later(delay_ns, _arrive, (ingress, packet))
+
+
+def _arrive(event) -> None:
+    ingress, packet = event.value
+    ingress(packet)
 
 
 class ShardBoundary(ToRSwitch):

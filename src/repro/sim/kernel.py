@@ -23,7 +23,8 @@ through free lists instead of being reallocated:
   safe because a timeout is single-shot and kernel-owned: every in-tree use
   is ``yield sim.timeout(...)``, which drops the reference on resume.
 - Internal process-control events (spawn kick-off, post-processed wakeups,
-  interrupt carriers) are pooled the same way via
+  interrupt carriers), timed callbacks (:meth:`Simulator.call_later`) and
+  injected actions (:meth:`Simulator.inject`) are pooled the same way via
   :meth:`Simulator._control_event`.
 
 Events created with :meth:`Simulator.event` are *never* pooled — callers
@@ -51,6 +52,11 @@ _NO_POOL, _TIMEOUT_POOL, _CONTROL_POOL = 0, 1, 2
 #: Lazily bound Process class (avoids a circular import; resolved once by
 #: the first ``spawn`` instead of re-importing per call).
 _Process = None
+
+
+def _call_value(event: "Event") -> None:
+    """Callback of an injected action: the action rides as the value."""
+    event.value()
 
 
 class SimulationError(RuntimeError):
@@ -200,7 +206,7 @@ class Simulator:
     """
 
     __slots__ = ("now", "_heap", "_nowq", "_seq", "_timeout_free",
-                 "_control_free")
+                 "_control_free", "events_fired")
 
     def __init__(self):
         self.now: int = 0
@@ -219,6 +225,8 @@ class Simulator:
         self._seq: int = 0
         self._timeout_free: list = []
         self._control_free: list = []
+        #: Events fired by every run loop and :meth:`step` so far.
+        self.events_fired: int = 0
 
     # -- scheduling ---------------------------------------------------------
 
@@ -257,6 +265,36 @@ class Simulator:
         event._recyclable = _CONTROL_POOL
         return event
 
+    def call_later(self, delay: int, callback: Callable[[Event], None],
+                   value: Any = None) -> None:
+        """Run ``callback(event)`` ``delay`` ns from now, ``event.value == value``.
+
+        The timer rides a pooled control event and takes the ``(time, seq)``
+        slot a process's ``yield delay`` would take at this point;
+        ``delay == 0`` joins the now-queue where a spawned process's start
+        event would. So a process that only sleeps and then acts becomes a
+        chain: one ``call_later(0, ...)`` for the spawn, then one
+        ``call_later`` per former ``yield`` — same event order, no
+        generator. The event is recycled once ``callback`` returns: read
+        ``event.value``, never keep the event.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative call_later delay: {delay}")
+        free = self._control_free
+        if free:
+            event = free.pop()
+        else:
+            event = Event(self)
+            event._recyclable = _CONTROL_POOL
+        event.callbacks.append(callback)
+        event.triggered = True
+        event.value = value
+        if delay:
+            heappush(self._heap, (self.now + delay, self._seq, event))
+            self._seq += 1
+        else:
+            self._nowq.append(event)
+
     def spawn(self, generator: Generator, name: str = "") -> "Process":
         """Start a new process from a generator coroutine."""
         global _Process
@@ -282,6 +320,7 @@ class Simulator:
             self.now, _, event = heappop(heap)
         else:
             raise SimulationError("no scheduled events")
+        self.events_fired += 1
         event._run_callbacks()
 
     def peek(self) -> Optional[int]:
@@ -339,9 +378,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot inject at {when}: simulator clock is at {self.now}"
             )
-        event = Event(self)
+        event = self._control_event()
+        event.callbacks.append(_call_value)
         event.triggered = True
-        event.callbacks.append(lambda _event: action())
+        event.value = action
         if when == self.now and seq_key is None:
             self._nowq.append(event)
         elif seq_key is not None:
@@ -399,7 +439,8 @@ class Simulator:
 
         Returns when the queues drain, the next event lies past ``until``
         or ``stop`` has triggered; the clock is left at the last event
-        fired. Returns the number of events fired.
+        fired. Returns the number of events fired and adds it to
+        :attr:`events_fired`.
 
         The body inlines the dual-queue pop (a heap entry due now predates
         everything in the now-queue, so it fires first), the single-callback
@@ -417,51 +458,56 @@ class Simulator:
         cfree = self._control_free
         now = self.now
         count = 0
-        while not stop.triggered:
-            if nowq:
-                if heap and heap[0][0] <= now:
-                    head = pop(heap)
-                    now = self.now = head[0]
-                    event = head[2]
+        try:
+            while not stop.triggered:
+                if nowq:
+                    if heap and heap[0][0] <= now:
+                        head = pop(heap)
+                        now = self.now = head[0]
+                        event = head[2]
+                    else:
+                        event = popleft()
+                elif heap:
+                    when = heap[0][0]
+                    if when > until:
+                        break
+                    event = pop(heap)[2]
+                    now = self.now = when
                 else:
-                    event = popleft()
-            elif heap:
-                when = heap[0][0]
-                if when > until:
                     break
-                event = pop(heap)[2]
-                now = self.now = when
-            else:
-                break
-            count += 1
-            callbacks = event.callbacks
-            recyclable = event._recyclable
-            if recyclable:
-                # Pooled single-shot event: dispatch without touching the
-                # ``processed`` flag (it is reset here anyway) and refile.
-                try:
-                    [callback] = callbacks
-                except ValueError:
-                    event._run_callbacks()
-                    event.processed = False
-                else:
-                    callbacks.clear()
-                    callback(event)
-                    if callbacks:
+                count += 1
+                callbacks = event.callbacks
+                recyclable = event._recyclable
+                if recyclable:
+                    # Pooled single-shot event: dispatch without touching the
+                    # ``processed`` flag (it is reset here anyway) and refile.
+                    try:
+                        [callback] = callbacks
+                    except ValueError:
+                        event._run_callbacks()
+                        event.processed = False
+                    else:
                         callbacks.clear()
-                event.triggered = False
-                event.value = None
-                event._exception = None
-                free = tfree if recyclable == _TIMEOUT_POOL else cfree
-                if len(free) < _POOL_CAP:
-                    free.append(event)
-            else:
-                try:
-                    [callback] = callbacks
-                except ValueError:
-                    event._run_callbacks()
+                        callback(event)
+                        if callbacks:
+                            callbacks.clear()
+                    event.triggered = False
+                    event.value = None
+                    event._exception = None
+                    free = tfree if recyclable == _TIMEOUT_POOL else cfree
+                    if len(free) < _POOL_CAP:
+                        free.append(event)
                 else:
-                    event.processed = True
-                    callbacks.clear()
-                    callback(event)
+                    try:
+                        [callback] = callbacks
+                    except ValueError:
+                        event._run_callbacks()
+                    else:
+                        event.processed = True
+                        callbacks.clear()
+                        callback(event)
+        finally:
+            # Once per call, not per event; a callback that raises still
+            # leaves the count exact.
+            self.events_fired += count
         return count

@@ -161,13 +161,18 @@ class ModeledStack(RpcStack):
             packet.payload_bytes * self.params.per_byte_ns
         )
         sim = self.sim
-
-        def _propagate():
-            yield sim.timeout(wire_ns)
-            self.switch.send(packet.dst_address, packet)
-
-        sim.spawn(_propagate())
+        # The wire hop as two timed callbacks in the slots a spawned
+        # ``yield wire_ns; switch.send(...)`` process would take.
+        sim.call_later(0, self._depart, (packet, wire_ns))
         yield sim.timeout(0)
+
+    def _depart(self, event) -> None:
+        packet, wire_ns = event.value
+        self.sim.call_later(wire_ns, self._propagated, packet)
+
+    def _propagated(self, event) -> None:
+        packet = event.value
+        self.switch.send(packet.dst_address, packet)
 
     def _ingress(self, packet: RpcPacket) -> None:
         packet.stamp("nic_rx", self.sim.now)

@@ -192,3 +192,50 @@ def test_mmio_push_mode_skips_fetch_fsm():
     assert b.monitor.delivered_rpcs == 1
     # Push mode: the TX ring was never used.
     assert a.flow_rings[0].tx_occupancy == 0
+
+
+# ------------------------------------------------------- ingress chain
+
+
+def _steered_at(nic, packet):
+    """Feed ``packet`` to the NIC's ingress; return when it is steered."""
+    sim = nic.sim
+    steered = []
+    enqueue = nic.tx_path.enqueue
+
+    def record(pkt, flow_id):
+        steered.append(sim.now)
+        enqueue(pkt, flow_id)
+
+    nic.tx_path.enqueue = record
+    start = sim.now
+    nic.ingress(packet)
+    sim.run()
+    del nic.tx_path.enqueue
+    [when] = steered
+    return when - start
+
+
+def test_ingress_connection_miss_pays_dram_fetch_and_refills():
+    sim, _, b = build_pair()
+    b.open_connection(7, 0, "a")
+    cache = b.connection_manager.cache
+    hit_ns = _steered_at(b, RpcPacket(RpcKind.REQUEST, 7, "echo", b"", 48))
+    assert cache.invalidate(7)
+    misses = cache.misses
+    miss_ns = _steered_at(b, RpcPacket(RpcKind.REQUEST, 7, "echo", b"", 48))
+    assert miss_ns - hit_ns == (CAL.nic_connection_miss_ns
+                                - b.connection_manager._hit_ns)
+    assert cache.misses == misses + 1
+    # The miss re-inserted the entry: the next packet hits again.
+    assert cache.lookup(7) == (True, b.connection_manager._dram[7])
+    assert _steered_at(
+        b, RpcPacket(RpcKind.REQUEST, 7, "echo", b"", 48)) == hit_ns
+
+
+def test_ingress_chain_stage_latencies():
+    sim, _, b = build_pair()
+    b.open_connection(7, 0, "a")
+    steer_ns = _steered_at(b, RpcPacket(RpcKind.REQUEST, 7, "echo", b"", 48))
+    assert steer_ns == (b._cycle_ns + b._rpc_unit_ns
+                        + b.connection_manager._hit_ns + b._lb_ns)

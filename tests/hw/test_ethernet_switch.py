@@ -121,7 +121,8 @@ class _StubFaults:
 
 
 def test_switch_fault_and_fast_paths_share_delay():
-    # Both paths route through _schedule: a fault verdict with zero extra
+    # Both paths arm the delivery through ToRSwitch._schedule (timed
+    # callbacks, no process per packet): a fault verdict with zero extra
     # delay must land at exactly the same time as the perfect wire.
     sim = Simulator()
     switch = ToRSwitch(sim, CAL)

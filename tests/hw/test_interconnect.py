@@ -178,3 +178,67 @@ def test_pcie_raw_read_near_450ns():
     sim, doorbell = build("pcie-doorbell")
     elapsed = run_one(sim, doorbell.raw_read())
     assert abs(elapsed - 450) < 30
+
+
+# ------------------------------------------------ transfer vs process form
+
+KINDS = ("upi", "pcie-mmio", "pcie-doorbell")
+
+
+def _hold_endpoint(sim, endpoint, until_ns):
+    """Occupy ``endpoint`` from now until ``until_ns``."""
+    assert endpoint.try_acquire()
+    sim.call_later(until_ns - sim.now, lambda event: endpoint.release())
+
+
+def _transfer_done_at(kind, to_nic, held_until=None):
+    sim, iface = build(kind)
+    endpoint = iface.endpoint if to_nic else iface.write_endpoint
+    if held_until is not None:
+        _hold_endpoint(sim, endpoint, held_until)
+    landed = []
+    iface.transfer(2, to_nic, lambda event: landed.append((event.value,
+                                                           sim.now)), "tag")
+    sim.run()
+    [(value, when)] = landed
+    assert value == "tag"
+    return when, iface
+
+
+def _adapter_done_at(kind, to_nic, held_until=None):
+    sim, iface = build(kind)
+    endpoint = iface.endpoint if to_nic else iface.write_endpoint
+    if held_until is not None:
+        _hold_endpoint(sim, endpoint, held_until)
+    generator = iface.host_to_nic(2) if to_nic else iface.nic_to_host(2)
+    return run_one(sim, generator), iface
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("to_nic", [True, False])
+@pytest.mark.parametrize("held_until", [None, 1000])
+def test_transfer_lands_with_the_process_form(kind, to_nic, held_until):
+    callback_ns, via_callback = _transfer_done_at(kind, to_nic, held_until)
+    process_ns, via_process = _adapter_done_at(kind, to_nic, held_until)
+    occupancy, latency = via_callback.transfer_ns(2, to_nic)
+    start = 0 if held_until is None else held_until
+    assert callback_ns == process_ns == start + occupancy + latency
+    for iface in (via_callback, via_process):
+        assert iface.transactions == 1
+        assert (iface.lines_to_nic, iface.lines_to_host) == (
+            (2, 0) if to_nic else (0, 2))
+        assert iface.endpoint.in_use == 0
+        assert iface.write_endpoint.in_use == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_back_to_back_transfers_queue_fifo_on_the_endpoint(kind):
+    sim, iface = build(kind)
+    landed = []
+    for tag in range(3):
+        iface.transfer(1, True, lambda event: landed.append((event.value,
+                                                             sim.now)), tag)
+    sim.run()
+    occupancy, latency = iface.transfer_ns(1, True)
+    assert landed == [(tag, (tag + 1) * occupancy + latency)
+                      for tag in range(3)]
