@@ -51,7 +51,8 @@ from repro.harness.runner import BenchResult
 #:    sharded results grew window-accounting fields (window_mode etc.).
 #: 4: timed callbacks replaced per-packet processes; mesh and sharded
 #:    results carry event counts without the process-completion events.
-CACHE_VERSION = 4
+#: 5: fused pure-delay NIC stages; mesh and sharded event counts drop.
+CACHE_VERSION = 5
 
 #: Repo-level default cache directory (benchmarks/results/cache/).
 DEFAULT_CACHE_DIR = os.path.join(

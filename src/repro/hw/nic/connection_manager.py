@@ -85,13 +85,10 @@ class ConnectionManager:
     def lookup(self, connection_id: int) -> Generator:
         """Pipeline lookup; yields timing, returns the ConnectionTuple.
 
-        Hot callers inline the cache-hit half of this (``cache.lookup`` +
-        ``yield _hit_ns``) and only delegate to :meth:`lookup_miss` on a
-        miss, skipping a generator per packet on the common path — the
-        same fast-path-or-fall-back shape as the ``try_* or yield`` idiom
-        on :class:`~repro.sim.resources.Resource`/``Store`` (the hit
-        latency itself is still paid as an int-yield; unlike an idle
-        resource grant, it is simulated time, not kernel overhead).
+        The NIC pipelines inline the cache-hit half of this: they call
+        ``cache.lookup`` at stage entry, fold ``_hit_ns`` into the RPC
+        unit's timer, and only delegate to :meth:`lookup_miss` (or
+        :meth:`backing_entry`) on a miss.
         """
         hit, entry = self.cache.lookup(connection_id)
         if hit:

@@ -105,12 +105,12 @@ class DaggerNic:
             Store(sim, name=f"{address}-egress{i}")
             for i in range(self.hard.num_flows)
         ]
-        for flow_id in range(self.hard.num_flows):
-            sim.spawn(self._egress_sequencer(flow_id))
+        for queue in self._egress_queues:
+            sim.spawn(self._egress_sequencer(queue))
         # Control packets (ACK/NACK/CREDIT) use their own sequencer so a
         # data flow parked on credits can never block the protocol itself.
         self._control_queue = Store(sim, name=f"{address}-control")
-        sim.spawn(self._control_sequencer())
+        sim.spawn(self._egress_sequencer(self._control_queue))
 
         # §4.5 extensions: a hardware reliable transport and/or a
         # credit-based flow-control engine in the Protocol unit (both None
@@ -304,16 +304,18 @@ class DaggerNic:
         else:
             self._egress_queues[flow_id].try_put(packet)
 
-    def _egress_sequencer(self, flow_id: int) -> Generator:
-        # Body of egress_pipeline() inlined below (one delegated generator
-        # per transmitted packet otherwise); keep the two in sync. Every
+    def _egress_sequencer(self, queue: Store) -> Generator:
+        # RPC unit (serializer) -> connection lookup -> transport -> wire.
+        # One sequencer per data flow, plus one for control packets. Every
         # queueing station takes the zero-yield try_* fast path when
         # uncontended and falls back to the evented wait otherwise.
-        queue = self._egress_queues[flow_id]
         get = queue.get
         try_get = queue.try_get
         pipeline = self.pipeline
         pipeline_try_acquire = pipeline.try_acquire
+        cycle_ns = self._cycle_ns
+        rpc_unit_ns = self._rpc_unit_ns
+        transport_ns = self._transport_ns
         connection_manager = self.connection_manager
         cache_lookup = connection_manager.cache.lookup
         lookup_hit_ns = connection_manager._hit_ns
@@ -337,25 +339,35 @@ class DaggerNic:
             if not pipeline_try_acquire():
                 yield pipeline.request()
             try:
-                yield self._cycle_ns
+                yield cycle_ns
             finally:
                 pipeline.release()
-            yield self._rpc_unit_ns
+            # The connection is looked up as the packet leaves the cycle.
+            # Pure delays are fused: a hit pays RPC unit (+ crypto) + lookup
+            # (+ transport, when no transport unit acts) as one timer; a
+            # miss pays the DRAM refill after the RPC unit.
+            delay = rpc_unit_ns
             if self.hard.inline_crypto and packet.kind is not RpcKind.CONTROL:
-                yield self._crypto_ns(packet)
-            # connection_manager.lookup inlined on the hit path (a generator
-            # per packet otherwise); misses take the full path.
+                delay += self._crypto_ns(packet)
             hit, entry = cache_lookup(packet.connection_id)
             if hit:
-                yield lookup_hit_ns
+                delay += lookup_hit_ns
             else:
                 monitor.connection_misses += 1
+                yield delay
                 entry = yield from lookup_miss(packet.connection_id)
+                delay = 0
             if packet.kind is RpcKind.REQUEST:
                 packet.dst_address = entry.dest_address
-            if self.transport is not None:
-                self.transport.on_egress(packet)
-            yield self._transport_ns
+            transport = self.transport
+            if transport is not None:
+                # The transport unit sequences and buffers the packet as it
+                # enters the transport stage, so that stage keeps its timer.
+                if delay:
+                    yield delay
+                transport.on_egress(packet)
+                delay = 0
+            yield delay + transport_ns
             # eth.transmit(packet.wire_bytes) inlined (same grant / delay /
             # release events, no delegated generator per frame); keep in
             # sync with EthernetPort.transmit.
@@ -378,49 +390,6 @@ class DaggerNic:
             monitor.tx_rpcs += 1
             switch_send(packet.dst_address, packet)
 
-    def _control_sequencer(self) -> Generator:
-        queue = self._control_queue
-        get = queue.get
-        try_get = queue.try_get
-        while True:
-            packet = try_get()
-            if packet is None:
-                packet = yield get()
-            yield from self.egress_pipeline(packet)
-
-    def egress_pipeline(self, packet: RpcPacket) -> Generator:
-        """RPC unit (serializer) -> connection lookup -> transport -> wire."""
-        sim = self.sim
-        pipeline = self.pipeline
-        # pipeline.use(cycle) inlined: same grant/timeout/release events
-        # without a delegated generator per packet.
-        if not pipeline.try_acquire():
-            yield pipeline.request()
-        try:
-            yield self._cycle_ns
-        finally:
-            pipeline.release()
-        yield self._rpc_unit_ns
-        if self.hard.inline_crypto and packet.kind is not RpcKind.CONTROL:
-            yield self._crypto_ns(packet)
-        connection_manager = self.connection_manager
-        misses_before = connection_manager.cache.misses
-        entry = yield from connection_manager.lookup(packet.connection_id)
-        self.monitor.connection_misses += (
-            connection_manager.cache.misses - misses_before
-        )
-        if packet.kind is RpcKind.REQUEST:
-            packet.dst_address = entry.dest_address
-        if self.transport is not None:
-            self.transport.on_egress(packet)
-        yield self._transport_ns
-        yield from self.eth.transmit(packet.wire_bytes)
-        packet.stamp("wire_tx", self.sim.now)
-        if self.tracer is not None:
-            self.tracer.record_packet(packet, "wire_tx", self.sim.now)
-        self.monitor.tx_rpcs += 1
-        self.switch.send(packet.dst_address, packet)
-
     # -- ingress data path ---------------------------------------------------------
 
     def ingress(self, packet: RpcPacket) -> None:
@@ -433,16 +402,14 @@ class DaggerNic:
 
     def _ingress_unit(self) -> Generator:
         # The ingress pipeline accepts one packet per cycle; the remaining
-        # stage latency is paid per packet on a chain of timed callbacks so
-        # the unit pipelines like the RTL instead of serializing ~7 cycles.
-        sim = self.sim
+        # stage latency is paid per packet on timed callbacks so the unit
+        # pipelines like the RTL instead of serializing ~7 cycles.
         pipeline = self.pipeline
         pipeline_try_acquire = pipeline.try_acquire
         cycle_ns = self._cycle_ns
         queue = self._ingress_queue
         get = queue.get
         try_get = queue.try_get
-        call_later = sim.call_later
         steer = self._ingress_steer
         while True:
             packet = try_get()
@@ -454,7 +421,7 @@ class DaggerNic:
                 yield cycle_ns
             finally:
                 pipeline.release()
-            call_later(0, steer, packet)
+            steer(packet)
 
     def _crypto_ns(self, packet: RpcPacket) -> int:
         """Latency of the optional inline encryption stage (§4.5)."""
@@ -463,33 +430,31 @@ class DaggerNic:
         return lines * cal.nic_crypto_cycles_per_line * cal.nic_cycle_ns
 
     # The per-packet ingress chain: RPC unit -> optional inline crypto ->
-    # connection lookup (cache hit, or DRAM miss then re-insert) -> load
-    # balancer -> steer or NIC-terminated control. Each stage is one timed
-    # callback in the slot a per-packet process's ``yield`` would take.
+    # connection lookup -> load balancer -> steer or NIC-terminated control.
+    # The connection is looked up as the packet leaves the pipeline cycle.
+    # A hit pays RPC unit (+ crypto) + lookup as one timer; a miss pays RPC
+    # unit (+ crypto), then the DRAM miss, and re-inserts the entry. The
+    # load balancer keeps its own timer: its slot orders the dispatch
+    # against the pipeline's other same-time events (credit grants wake
+    # the egress sequencers, which share the pipeline).
 
-    def _ingress_steer(self, event) -> None:
-        self.sim.call_later(self._rpc_unit_ns, self._ingress_rpc_unit,
-                            event.value)
-
-    def _ingress_rpc_unit(self, event) -> None:
-        packet = event.value
+    def _ingress_steer(self, packet: RpcPacket) -> None:
+        delay = self._rpc_unit_ns
         if self.hard.inline_crypto and packet.kind is not RpcKind.CONTROL:
-            self.sim.call_later(self._crypto_ns(packet), self._ingress_lookup,
-                                packet)
-        else:
-            self._ingress_lookup(event)
-
-    def _ingress_lookup(self, event) -> None:
-        packet = event.value
+            delay += self._crypto_ns(packet)
         connection_manager = self.connection_manager
         hit, entry = connection_manager.cache.lookup(packet.connection_id)
         if hit:
-            self.sim.call_later(connection_manager._hit_ns,
+            self.sim.call_later(delay + connection_manager._hit_ns,
                                 self._ingress_balance, (packet, entry))
         else:
-            entry = connection_manager.backing_entry(packet.connection_id)
-            self.sim.call_later(self.calibration.nic_connection_miss_ns,
-                                self._ingress_refill, (packet, entry))
+            self.sim.call_later(delay, self._ingress_miss, packet)
+
+    def _ingress_miss(self, event) -> None:
+        packet = event.value
+        entry = self.connection_manager.backing_entry(packet.connection_id)
+        self.sim.call_later(self.calibration.nic_connection_miss_ns,
+                            self._ingress_refill, (packet, entry))
 
     def _ingress_refill(self, event) -> None:
         packet, entry = event.value

@@ -92,19 +92,15 @@ class RxPath:
             nic.monitor.batched_rpcs += len(batch)
             # The transfer completes asynchronously (CCI-P keeps up to 128
             # requests in flight), so the read is issued immediately...
-            nic.sim.call_later(0, self._issue_fetch, (flow_id, batch, lines))
+            nic.interface.transfer(lines, True, self._fetched,
+                                   (flow_id, batch))
             # ...but the FSM cannot issue the *next* read until this one's
             # issue slot drains (123 ns + 20 ns/extra line on UPI): serial
             # pacing bounds per-flow throughput without inflating the
             # latency of an idle flow.
             occupancy = nic.interface.issue_occupancy_ns(lines)
             self.issue_busy_ns += occupancy
-            yield nic.sim.timeout(occupancy)
-
-    def _issue_fetch(self, event) -> None:
-        flow_id, batch, lines = event.value
-        self.nic.interface.transfer(lines, True, self._fetched,
-                                    (flow_id, batch))
+            yield occupancy
 
     def _fetched(self, event) -> None:
         flow_id, batch = event.value

@@ -131,7 +131,8 @@ class TxPath:
         read_and_release = self.request_table.read_and_release
         line_bytes = nic.calibration.cache_line_bytes
         issue_occupancy_ns = nic.interface.issue_occupancy_ns
-        call_later = nic.sim.call_later
+        transfer = nic.interface.transfer
+        delivered = self._delivered
         while True:
             # Zero-yield fast path: a non-empty FIFO hands the batch head
             # over synchronously; only an empty FIFO parks the scheduler.
@@ -151,15 +152,10 @@ class TxPath:
             lines = sum(pkt.lines(line_bytes) for pkt in batch)
             # The CCI-P write pipelines like the fetch path: the delivery is
             # issued immediately, the scheduler is paced by the issue slot.
-            call_later(0, self._issue_delivery, (flow_id, batch, lines))
+            transfer(lines, False, delivered, (flow_id, batch))
             occupancy = issue_occupancy_ns(lines)
             self.issue_busy_ns += occupancy
             yield occupancy
-
-    def _issue_delivery(self, event) -> None:
-        flow_id, batch, lines = event.value
-        self.nic.interface.transfer(lines, False, self._delivered,
-                                    (flow_id, batch))
 
     def _delivered(self, event) -> None:
         flow_id, batch = event.value

@@ -81,13 +81,8 @@ class ToRSwitch:
 
     def _schedule(self, ingress: Callable[[Any], None], packet: Any,
                   delay_ns: int) -> None:
-        # A zero-delay hop, then the wire delay: the slot rule of
-        # Simulator.call_later keeps the order of a ``yield delay_ns;
-        # ingress(packet)`` process without spawning one per packet.
-        self.sim.call_later(0, self._depart, (ingress, packet, delay_ns))
-
-    def _depart(self, event) -> None:
-        ingress, packet, delay_ns = event.value
+        # One timer per delivery, armed at send time: the crossing is a
+        # pure delay, so the packet needs no hop of its own before it.
         self.sim.call_later(delay_ns, _arrive, (ingress, packet))
 
 

@@ -47,7 +47,7 @@ def test_request_table_bad_size():
 
 
 def build_pair(batch=1, auto=False, num_flows=1, flow_fifo_entries=64,
-               rx_ring_entries=128):
+               rx_ring_entries=128, **hard_overrides):
     sim = Simulator()
     machine = Machine(sim)
     switch = ToRSwitch(sim, CAL, loopback=True)
@@ -55,7 +55,8 @@ def build_pair(batch=1, auto=False, num_flows=1, flow_fifo_entries=64,
     for name in ("a", "b"):
         hard = NicHardConfig(num_flows=num_flows,
                              flow_fifo_entries=flow_fifo_entries,
-                             rx_ring_entries=rx_ring_entries)
+                             rx_ring_entries=rx_ring_entries,
+                             **hard_overrides)
         soft = NicSoftConfig(batch_size=batch, auto_batch=auto)
         interface = make_interface("upi", sim, CAL, machine.fpga)
         nics.append(DaggerNic(sim, CAL, interface, switch, name,
@@ -239,3 +240,85 @@ def test_ingress_chain_stage_latencies():
     steer_ns = _steered_at(b, RpcPacket(RpcKind.REQUEST, 7, "echo", b"", 48))
     assert steer_ns == (b._cycle_ns + b._rpc_unit_ns
                         + b.connection_manager._hit_ns + b._lb_ns)
+
+
+# ------------------------------------------------------- egress pipeline
+
+
+def _egress_ns(nic, packet):
+    """``wire_tx - nic_fetched`` of one packet on an otherwise idle NIC."""
+    if packet.kind is RpcKind.CONTROL:
+        # Control packets are generated on the NIC: they enter the control
+        # sequencer directly, with no fetch.
+        packet.stamp("nic_fetched", nic.sim.now)
+        nic.enqueue_egress(0, packet)
+    else:
+        send(nic.sim, nic, packet)
+    nic.sim.run()
+    stamps = packet.timestamps
+    return stamps["wire_tx"] - stamps["nic_fetched"]
+
+
+def _egress_floor(nic, packet):
+    """Cycle + RPC unit + hit lookup + transport + serialization."""
+    return (nic._cycle_ns + nic._rpc_unit_ns + nic.connection_manager._hit_ns
+            + nic._transport_ns + nic.eth.serialization_ns(packet.wire_bytes))
+
+
+def _control_packet(connection_id, dst_address):
+    return RpcPacket(RpcKind.CONTROL, connection_id, "ack", 0, 16,
+                     dst_address=dst_address)
+
+
+@pytest.mark.parametrize("kind,reliable", [
+    (RpcKind.REQUEST, False),
+    (RpcKind.CONTROL, False),
+    (RpcKind.REQUEST, True),
+])
+def test_egress_stage_latencies(kind, reliable):
+    sim, a, b = build_pair(reliable_transport=reliable)
+    a.open_connection(1, 0, "b")
+    b.open_connection(1, 0, "a")
+    if kind is RpcKind.CONTROL:
+        packet = _control_packet(1, "b")
+    else:
+        packet = RpcPacket(kind, 1, "echo", b"", 200)
+    assert _egress_ns(a, packet) == _egress_floor(a, packet)
+    assert a.monitor.connection_misses == 0
+
+
+def test_inline_crypto_adds_latency_to_data_packets_only():
+    sim, a, b = build_pair(inline_crypto=True)
+    a.open_connection(1, 0, "b")
+    b.open_connection(1, 0, "a")
+    data = RpcPacket(RpcKind.REQUEST, 1, "echo", b"", 200)
+    crypto_ns = a._crypto_ns(data)
+    assert crypto_ns > 0
+    assert _egress_ns(a, data) == _egress_floor(a, data) + crypto_ns
+    control = _control_packet(1, "b")
+    assert _egress_ns(a, control) == _egress_floor(a, control)
+    # Ingress: the data packet pays the same crypto before its lookup.
+    steer_ns = _steered_at(b, RpcPacket(RpcKind.REQUEST, 1, "echo", b"",
+                                        200))
+    assert steer_ns == (b._cycle_ns + b._rpc_unit_ns + crypto_ns
+                        + b.connection_manager._hit_ns + b._lb_ns)
+
+
+@pytest.mark.parametrize("reliable", [False, True])
+def test_egress_connection_miss_pays_dram_fetch_and_refills(reliable):
+    sim, a, b = build_pair(reliable_transport=reliable)
+    a.open_connection(1, 0, "b")
+    b.open_connection(1, 0, "a")
+    cache = a.connection_manager.cache
+    assert cache.invalidate(1)
+    packet = RpcPacket(RpcKind.REQUEST, 1, "echo", b"", 64)
+    miss_ns = _egress_ns(a, packet)
+    assert miss_ns - _egress_floor(a, packet) == (
+        CAL.nic_connection_miss_ns - a.connection_manager._hit_ns)
+    assert a.monitor.connection_misses == 1
+    assert packet.dst_address == "b"
+    # The miss re-inserted the entry: the next packet hits again.
+    assert cache.lookup(1) == (True, a.connection_manager._dram[1])
+    again = RpcPacket(RpcKind.REQUEST, 1, "echo", b"", 64)
+    assert _egress_ns(a, again) == _egress_floor(a, again)
+    assert a.monitor.connection_misses == 1

@@ -68,6 +68,24 @@ def test_switch_delivers_after_delay():
     assert received == [("hello", CAL.tor_delay_ns)]
 
 
+def test_switch_delivery_fires_one_event_per_packet():
+    sim = Simulator()
+    switch = ToRSwitch(sim, CAL)
+    received = []
+    switch.register("dst", received.append)
+    switch.send("dst", "first")
+    switch.send("dst", "second")
+    sim.run()
+    assert received == ["first", "second"]
+    assert sim.events_fired == 2
+    # A duplicating wire fault delivers each copy on its own event.
+    switch.wire_faults = _StubFaults([[("dup", 0), ("dup", 3)]])
+    switch.send("dst", "dup")
+    sim.run()
+    assert received[2:] == ["dup", "dup"]
+    assert sim.events_fired == 4
+
+
 def test_switch_loopback_delay():
     sim = Simulator()
     switch = ToRSwitch(sim, CAL, loopback=True)
