@@ -483,43 +483,3 @@ def run_echo_mesh(
         boundary_bytes=sharded.boundary_bytes,
     )
 
-
-class EchoMeshRig:
-    """Facade mirroring :class:`~repro.harness.runner.EchoRig`'s shape for
-    the multi-host mesh: construct with the topology, then call
-    :meth:`closed_loop` with the shard count.
-
-    Unlike ``EchoRig`` there is no live rig object to poke at afterwards —
-    the hosts are built inside the engine (possibly in worker processes)
-    and torn down when the run completes; only the result comes back.
-    """
-
-    def __init__(self, hosts: int = 4, batch_size: int = 4,
-                 rpc_bytes: int = 48, service_ns: int = 0,
-                 tor_delay_ns: Optional[int] = None, seed: int = 1,
-                 mode: str = "exact", window_mode: str = "adaptive"):
-        self.hosts = hosts
-        self.batch_size = batch_size
-        self.rpc_bytes = rpc_bytes
-        self.service_ns = service_ns
-        self.tor_delay_ns = tor_delay_ns
-        self.seed = seed
-        self.mode = _check_mode(mode)
-        self.window_mode = window_mode
-
-    def closed_loop(self, window: int = 64, nreq_per_host: int = 4000,
-                    warmup_ns: int = 20_000, shards: int = 1) -> MeshResult:
-        return run_echo_mesh(
-            hosts=self.hosts,
-            shards=shards,
-            nreq_per_host=nreq_per_host,
-            window=window,
-            batch_size=self.batch_size,
-            rpc_bytes=self.rpc_bytes,
-            service_ns=self.service_ns,
-            warmup_ns=warmup_ns,
-            tor_delay_ns=self.tor_delay_ns,
-            seed=self.seed,
-            mode=self.mode,
-            window_mode=self.window_mode,
-        )

@@ -185,7 +185,7 @@ class EchoRig:
             raise ValueError(
                 "EchoRig is a single-machine rig and only supports "
                 "shards=1; for sharded execution use the multi-host mesh "
-                "(repro.harness.mesh.run_echo_mesh / EchoMeshRig)"
+                "(repro.harness.mesh.run_echo_mesh)"
             )
         # Latency-recording mode (ISSUE 8): "exact" keeps raw samples (the
         # signature-gated default); "sketch" streams them into O(1)-memory

@@ -8,8 +8,6 @@ other exactly like a real egress port.
 
 from __future__ import annotations
 
-from typing import Generator
-
 from repro.hw.calibration import Calibration
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
@@ -46,28 +44,17 @@ class EthernetPort:
             ("tx_frames", "counter", lambda: self.frames),
         ]
 
-    def frame_bytes(self, payload_bytes: int) -> int:
-        return max(MIN_FRAME_BYTES, payload_bytes) + ETHERNET_OVERHEAD_BYTES
+    def serialize(self, payload_bytes: int) -> int:
+        """Count one frame onto the wire; return its serialization time.
 
-    def serialization_ns(self, payload_bytes: int) -> int:
-        wire_bytes = self.frame_bytes(payload_bytes)
-        return max(1, int(wire_bytes / self.calibration.eth_bytes_per_ns))
-
-    def transmit(self, payload_bytes: int) -> Generator:
-        """Occupy the port for the frame's serialization time."""
+        The frame is padded to the Ethernet minimum, pays the preamble/FCS/
+        IFG overhead, and leaves at line rate with a 1 ns floor. The caller
+        holds the port (``_port``) for the returned time.
+        """
         if payload_bytes < 0:
             raise ValueError(f"negative payload {payload_bytes}")
-        if not self._port.try_acquire():
-            yield self._port.request()
-        try:
-            # frame_bytes/serialization_ns inlined (one frame per RPC; two
-            # method calls per frame show up on the echo hot path).
-            wire_bytes = payload_bytes if payload_bytes > MIN_FRAME_BYTES \
-                else MIN_FRAME_BYTES
-            wire_bytes += ETHERNET_OVERHEAD_BYTES
-            delay = int(wire_bytes / self.calibration.eth_bytes_per_ns)
-            self.frames += 1
-            self.bytes += wire_bytes
-            yield delay if delay > 1 else 1
-        finally:
-            self._port.release()
+        wire_bytes = (max(MIN_FRAME_BYTES, payload_bytes)
+                      + ETHERNET_OVERHEAD_BYTES)
+        self.frames += 1
+        self.bytes += wire_bytes
+        return max(1, int(wire_bytes / self.calibration.eth_bytes_per_ns))

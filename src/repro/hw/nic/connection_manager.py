@@ -82,23 +82,14 @@ class ConnectionManager:
 
     # -- data path (NIC pipeline) --------------------------------------------
 
-    def lookup(self, connection_id: int) -> Generator:
-        """Pipeline lookup; yields timing, returns the ConnectionTuple.
-
-        The NIC pipelines inline the cache-hit half of this: they call
-        ``cache.lookup`` at stage entry, fold ``_hit_ns`` into the RPC
-        unit's timer, and only delegate to :meth:`lookup_miss` (or
-        :meth:`backing_entry`) on a miss.
-        """
-        hit, entry = self.cache.lookup(connection_id)
-        if hit:
-            yield self._hit_ns
-            return entry
-        entry = yield from self.lookup_miss(connection_id)
-        return entry
+    # The NIC pipelines look a connection up with ``cache.lookup`` at stage
+    # entry: a hit folds ``_hit_ns`` into the stage's timer, a miss pays
+    # the DRAM refill through :meth:`lookup_miss` (egress) or
+    # :meth:`backing_entry` plus their own timer (ingress).
 
     def lookup_miss(self, connection_id: int) -> Generator:
-        """DRAM fallback after a recorded cache miss (see :meth:`lookup`)."""
+        """DRAM fallback after a recorded cache miss; yields timing, then
+        re-inserts and returns the ConnectionTuple."""
         backing = self.backing_entry(connection_id)
         yield self.calibration.nic_connection_miss_ns
         self.cache.insert(connection_id, backing)

@@ -19,11 +19,7 @@ import itertools
 from typing import Generator, Optional
 
 from repro.hw.calibration import Calibration
-from repro.hw.ethernet import (
-    ETHERNET_OVERHEAD_BYTES,
-    MIN_FRAME_BYTES,
-    EthernetPort,
-)
+from repro.hw.ethernet import EthernetPort
 from repro.hw.interconnect.base import CpuNicInterface, TransferMode
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.nic.connection_manager import ConnectionManager, ConnectionTuple
@@ -265,14 +261,14 @@ class DaggerNic:
         packet.src_address = self.address
         if packet.kind is RpcKind.REQUEST:
             packet.src_flow = flow_id
-        packet.stamp("sw_tx", self.sim.now)
         if self.tracer is not None:
             self.tracer.record_packet(packet, "sw_tx", self.sim.now)
         if self.interface.mode is TransferMode.PUSH:
             # WQE-by-MMIO: payload crosses as CPU-issued MMIO writes; no
             # ring, no fetch FSM.
             lines = packet.lines(self.calibration.cache_line_bytes)
-            self.sim.call_later(0, self._issue_push, (packet, lines, flow_id))
+            self.interface.transfer(lines, True, self._pushed,
+                                    (packet, flow_id))
             return
         tx_ring = self.flow_rings[flow_id].tx_ring
         if not tx_ring.try_put(packet):
@@ -285,14 +281,9 @@ class DaggerNic:
 
     # -- egress data path --------------------------------------------------------
 
-    def _issue_push(self, event) -> None:
-        packet, lines, flow_id = event.value
-        self.interface.transfer(lines, True, self._pushed, (packet, flow_id))
-
     def _pushed(self, event) -> None:
         packet, flow_id = event.value
         self.monitor.fetched_rpcs += 1
-        packet.stamp("nic_fetched", self.sim.now)
         if self.tracer is not None:
             self.tracer.record_packet(packet, "nic_fetched", self.sim.now)
         self.enqueue_egress(flow_id, packet)
@@ -321,11 +312,11 @@ class DaggerNic:
         lookup_hit_ns = connection_manager._hit_ns
         lookup_miss = connection_manager.lookup_miss
         monitor = self.monitor
-        eth = self.eth
-        eth_port_request = eth._port.request
-        eth_port_try_acquire = eth._port.try_acquire
-        eth_port_release = eth._port.release
-        eth_bytes_per_ns = eth.calibration.eth_bytes_per_ns
+        eth_port = self.eth._port
+        eth_port_request = eth_port.request
+        eth_port_try_acquire = eth_port.try_acquire
+        eth_port_release = eth_port.release
+        serialize = self.eth.serialize
         switch_send = self.switch.send
         sim = self.sim
         while True:
@@ -368,23 +359,13 @@ class DaggerNic:
                 transport.on_egress(packet)
                 delay = 0
             yield delay + transport_ns
-            # eth.transmit(packet.wire_bytes) inlined (same grant / delay /
-            # release events, no delegated generator per frame); keep in
-            # sync with EthernetPort.transmit.
+            # The Ethernet MAC holds its port for the frame's serialization.
             if not eth_port_try_acquire():
                 yield eth_port_request()
             try:
-                wire_bytes = HEADER_BYTES + packet.payload_bytes
-                if wire_bytes < MIN_FRAME_BYTES:
-                    wire_bytes = MIN_FRAME_BYTES
-                wire_bytes += ETHERNET_OVERHEAD_BYTES
-                delay = int(wire_bytes / eth_bytes_per_ns)
-                eth.frames += 1
-                eth.bytes += wire_bytes
-                yield delay if delay > 1 else 1
+                yield serialize(HEADER_BYTES + packet.payload_bytes)
             finally:
                 eth_port_release()
-            packet.stamp("wire_tx", sim.now)
             if self.tracer is not None:
                 self.tracer.record_packet(packet, "wire_tx", sim.now)
             monitor.tx_rpcs += 1
@@ -395,7 +376,6 @@ class DaggerNic:
     def ingress(self, packet: RpcPacket) -> None:
         """Switch-facing entry point (runs at packet arrival time)."""
         self.monitor.rx_rpcs += 1
-        packet.stamp("nic_rx", self.sim.now)
         if self.tracer is not None:
             self.tracer.record_packet(packet, "nic_rx", self.sim.now)
         self._ingress_queue.try_put(packet)

@@ -166,7 +166,6 @@ class TxPath:
         transport = nic.transport
         if transport is None:
             for pkt in batch:
-                pkt.stamp("host_delivered", now)
                 if rx_ring.try_put(pkt):
                     nic.monitor.delivered_rpcs += 1
                     if tracer is not None:
@@ -185,7 +184,6 @@ class TxPath:
                 continue
             if not transport.on_delivered(pkt):
                 continue  # duplicate: counted in TransportStats
-            pkt.stamp("host_delivered", now)
             assert rx_ring.try_put(pkt)
             nic.monitor.delivered_rpcs += 1
             if tracer is not None:

@@ -111,17 +111,16 @@ class ShardBoundary(ToRSwitch):
     ``wire_faults`` may only be used for host-local traffic.
 
     Adaptive-horizon support (see :mod:`repro.sim.sharded`): the boundary
-    keeps per-address send/delivery counters and, when
-    ``track_delivery_times`` is set, the timestamps of injected arrivals —
-    the raw material a host model needs to compute a *conservative earliest
-    next egress* bound. The host plugs its estimator into
-    ``egress_bound_fn``; :meth:`egress_bound` is what the engine polls
-    alongside ``peek()``. ``ingress_floors`` declares, per local address, a
-    lower bound on the delay between an injected arrival at that address
-    and any cross-host send it can cause (e.g. a server's minimum service
-    time) — the coordinator uses it to stretch horizons past in-flight
-    arrivals. All of it is opt-in: with no estimator and no floors the
-    engine behaves exactly like the fixed-window protocol.
+    keeps per-address send/delivery counters — the raw material a host
+    model needs to compute a *conservative earliest next egress* bound.
+    The host plugs its estimator into ``egress_bound_fn``;
+    :meth:`egress_bound` is what the engine polls alongside ``peek()``.
+    ``ingress_floors`` declares, per local address, a lower bound on the
+    delay between an injected arrival at that address and any cross-host
+    send it can cause (e.g. a server's minimum service time) — the
+    coordinator uses it to stretch horizons past in-flight arrivals. All
+    of it is opt-in: with no estimator and no floors the engine behaves
+    exactly like the fixed-window protocol.
     """
 
     def __init__(
@@ -141,10 +140,6 @@ class ShardBoundary(ToRSwitch):
         self.sent_by_address: Dict[str, int] = {}
         #: Injected cross-shard arrivals per local address.
         self.delivered_by_address: Dict[str, int] = {}
-        #: When True, :meth:`deliver` appends ``sim.now`` per address to
-        #: :attr:`delivery_times` (host estimators may trim the lists).
-        self.track_delivery_times = False
-        self.delivery_times: Dict[str, list] = {}
         #: Host-declared conservative estimator; returns an absolute ns
         #: lower bound on the next cross-host send assuming no further
         #: injections, or None to make no claim.
@@ -190,8 +185,6 @@ class ShardBoundary(ToRSwitch):
         self.delivered_by_address[dst_address] = (
             self.delivered_by_address.get(dst_address, 0) + 1
         )
-        if self.track_delivery_times:
-            self.delivery_times.setdefault(dst_address, []).append(self.sim.now)
         if self.delivery_hook is not None:
             self.delivery_hook(dst_address, packet)
         self._table[dst_address](packet)

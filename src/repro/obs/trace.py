@@ -12,8 +12,9 @@ attribute ``tracer = None``; hook sites guard with a single ``is not None``
 check, so the disabled path costs one attribute load per packet and no
 allocation.
 
-Trace points are first-wins (a retransmitted packet keeps its original
-timestamps), matching :meth:`repro.rpc.messages.RpcPacket.stamp`.
+Trace points are first-wins: a retransmitted or hedged copy of a packet
+passes the same points again under the same ``rpc_id``, and the first
+passage is the one kept.
 """
 
 from __future__ import annotations

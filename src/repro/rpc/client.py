@@ -188,8 +188,8 @@ class RpcClient:
     def _hedge_call(self, call: RpcCall) -> Generator:
         """Re-send a straggling call after ``hedge_ns`` (tail tolerance).
 
-        The hedge is a fresh wire-level packet (new transport seq, own
-        timestamps) carrying the same ``rpc_id``, so whichever copy's
+        The hedge is a fresh wire-level packet (a clone with a new
+        transport seq) carrying the same ``rpc_id``, so whichever copy's
         response arrives first completes the call and the loser is ignored
         by the poller. Hedging trades duplicate *execution* for latency —
         only safe for idempotent methods, hence opt-in per client.
@@ -207,7 +207,6 @@ class RpcClient:
             self.hedges_sent += 1
             copy = call.packet.clone()
             copy.seq = None  # a brand-new packet to the transport
-            copy.timestamps = {}
             yield from self.thread.exec(self.port.cpu_tx_ns(copy))
             yield from self.port.send(copy)
 
@@ -253,7 +252,6 @@ class RpcClient:
             call = self._pending.pop(packet.rpc_id, None)
             if call is None:
                 continue  # late duplicate or cancelled call
-            packet.stamp("sw_rx", self.sim.now)
             self.calls_completed += 1
             if self.tracer is not None:
                 self.tracer.record(packet.rpc_id, "resp_complete",

@@ -27,8 +27,8 @@ Design (NACK-driven selective repeat with cumulative ACKs):
   ACKing resumes past the abandoned seq.
 
 Retransmissions always send a *copy* of the buffered packet: the original
-object may still be aliased by an in-flight wire event, and two deliveries
-of the same mutable object corrupt per-hop timestamps.
+object may still be aliased by an in-flight wire event, and each copy must
+own the ``seq`` and addresses the stack writes into it.
 
 Control packets are NIC-terminated: they traverse the wire and the ingress
 pipeline but never touch host rings — the host never sees the protocol.

@@ -156,26 +156,20 @@ class ModeledStack(RpcStack):
                     f"{self.address}"
                 )
             packet.dst_address = remote
-        packet.stamp("sw_tx", self.sim.now)
         wire_ns = self.params.oneway_ns + int(
             packet.payload_bytes * self.params.per_byte_ns
         )
         sim = self.sim
-        # The wire hop as two timed callbacks in the slots a spawned
-        # ``yield wire_ns; switch.send(...)`` process would take.
-        sim.call_later(0, self._depart, (packet, wire_ns))
+        # One timed callback carries the packet over the wire; the sender
+        # still yields once, keeping its place among same-time events.
+        sim.call_later(wire_ns, self._propagated, packet)
         yield sim.timeout(0)
-
-    def _depart(self, event) -> None:
-        packet, wire_ns = event.value
-        self.sim.call_later(wire_ns, self._propagated, packet)
 
     def _propagated(self, event) -> None:
         packet = event.value
         self.switch.send(packet.dst_address, packet)
 
     def _ingress(self, packet: RpcPacket) -> None:
-        packet.stamp("nic_rx", self.sim.now)
         if self.irq_threads and self.params.irq_cost_ns > 0:
             thread = self.irq_threads[self._next_irq % len(self.irq_threads)]
             self._next_irq += 1
@@ -198,7 +192,6 @@ class ModeledStack(RpcStack):
             pick = self._balancer.pick_flow(packet, len(port_ids))
             flow_id = port_ids[pick]
         port = self.port(flow_id)
-        packet.stamp("host_delivered", self.sim.now)
         if not port.rx_ring.try_put(packet):
             self.dropped += 1
 

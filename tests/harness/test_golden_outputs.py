@@ -1,8 +1,9 @@
 """Golden outputs: every rig's simulated result, pinned byte-for-byte.
 
-The echo and mesh signatures are pinned in ``BENCH_kernel.json``; this
-module pins the rest — cluster, chaos, multi-tenant, KVS, the service
-graphs and the Flight app — as canonical JSON in ``golden_outputs.json``,
+The full-size echo and mesh signatures are pinned in ``BENCH_kernel.json``;
+this module pins the rest — cluster, chaos, multi-tenant, KVS, the service
+graphs, the Flight app, a small 4-host mesh and the push-mode (PCIe MMIO)
+echo — as canonical JSON in ``golden_outputs.json``,
 so a change to any load loop or deployer that moves a simulated number
 fails tier-1 instead of passing unseen. A deliberate re-baseline
 regenerates the fixture::
@@ -144,6 +145,19 @@ def _cluster_flight():
     return run_cluster_point(app="flight", nreq=300)
 
 
+def _mesh():
+    from repro.harness.mesh import run_echo_mesh
+
+    return run_echo_mesh(hosts=4, nreq_per_host=500).signature()
+
+
+def _echo_pcie_mmio():
+    from repro.harness.runner import run_closed_loop
+
+    # Push mode: the host writes each packet to the NIC over MMIO.
+    return run_closed_loop(interface="pcie-mmio", nreq=1000).to_dict()
+
+
 POINTS = {
     "cluster_social_p2c_bursty_500": _cluster,
     "chaos_loss": lambda: _chaos("loss"),
@@ -158,6 +172,8 @@ POINTS = {
     "flight_optimized_200": lambda: _flight(True),
     "flight_simple_200": lambda: _flight(False),
     "cluster_flight_300": _cluster_flight,
+    "mesh_4x500": _mesh,
+    "echo_pcie_mmio_1000": _echo_pcie_mmio,
 }
 
 

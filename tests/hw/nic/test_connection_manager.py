@@ -15,11 +15,12 @@ def make_cm(entries=4, dram_backed=True):
     return sim, ConnectionManager(sim, CAL, entries, dram_backed=dram_backed)
 
 
-def lookup(sim, cm, cid):
+def lookup_miss(sim, cm, cid):
+    """Run the DRAM fallback for ``cid``; return (entry, elapsed ns)."""
     start = sim.now
 
     def proc():
-        entry = yield from cm.lookup(cid)
+        entry = yield from cm.lookup_miss(cid)
         return entry, sim.now - start
 
     return sim.run_until_done(sim.spawn(proc()))
@@ -38,9 +39,11 @@ def test_tuple_validation():
 def test_open_and_lookup_hit():
     sim, cm = make_cm()
     cm.open_connection(ConnectionTuple(1, 0, "server"))
-    entry, elapsed = lookup(sim, cm, 1)
+    hit, entry = cm.cache.lookup(1)
+    assert hit
     assert entry.dest_address == "server"
-    assert elapsed == CAL.nic_connection_lookup_cycles * CAL.nic_cycle_ns
+    # The latency the NIC pipelines fold into their stage timer on a hit.
+    assert cm._hit_ns == CAL.nic_connection_lookup_cycles * CAL.nic_cycle_ns
 
 
 def test_double_open_rejected():
@@ -52,12 +55,11 @@ def test_double_open_rejected():
 
 def test_lookup_unknown_connection():
     sim, cm = make_cm()
-
-    def proc():
-        yield from cm.lookup(42)
-
+    assert cm.cache.lookup(42) == (False, None)
     with pytest.raises(ConnectionError_):
-        sim.run_until_done(sim.spawn(proc()))
+        cm.backing_entry(42)
+    with pytest.raises(ConnectionError_):
+        lookup_miss(sim, cm, 42)
 
 
 def test_close_connection():
@@ -73,24 +75,24 @@ def test_evicted_connection_served_from_dram_with_penalty():
     sim, cm = make_cm(entries=1)  # all ids conflict
     cm.open_connection(ConnectionTuple(1, 0, "a"))
     cm.open_connection(ConnectionTuple(2, 0, "b"))  # evicts 1
-    entry, elapsed = lookup(sim, cm, 1)
+    assert cm.cache.lookup(1) == (False, None)
+    entry, elapsed = lookup_miss(sim, cm, 1)
     assert entry.dest_address == "a"
     assert elapsed >= CAL.nic_connection_miss_ns
     # The miss refilled the cache; the victim now misses instead.
-    _, elapsed_hit = lookup(sim, cm, 1)
-    assert elapsed_hit < CAL.nic_connection_miss_ns
+    assert cm.cache.lookup(1) == (True, entry)
+    assert cm._hit_ns < CAL.nic_connection_miss_ns
 
 
 def test_without_dram_backing_eviction_is_fatal():
     sim, cm = make_cm(entries=1, dram_backed=False)
     cm.open_connection(ConnectionTuple(1, 0, "a"))
     cm.open_connection(ConnectionTuple(2, 0, "b"))
-
-    def proc():
-        yield from cm.lookup(1)
-
+    assert cm.cache.lookup(1) == (False, None)
     with pytest.raises(ConnectionError_, match="evicted"):
-        sim.run_until_done(sim.spawn(proc()))
+        cm.backing_entry(1)
+    with pytest.raises(ConnectionError_, match="evicted"):
+        lookup_miss(sim, cm, 1)
 
 
 def test_open_count():

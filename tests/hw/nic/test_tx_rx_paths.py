@@ -3,12 +3,14 @@
 import pytest
 
 from repro.hw.calibration import DEFAULT_CALIBRATION
+from repro.hw.ethernet import EthernetPort
 from repro.hw.interconnect.ccip import make_interface
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.nic.dagger_nic import DaggerNic
 from repro.hw.nic.tx_path import RequestTable
 from repro.hw.platform import Machine
 from repro.hw.switch import ToRSwitch
+from repro.obs import SpanTracer
 from repro.rpc.messages import RpcKind, RpcPacket
 from repro.sim import Simulator
 
@@ -88,16 +90,26 @@ def test_request_travels_a_to_b():
     assert b.monitor.delivered_rpcs == 1
 
 
+def trace(*nics):
+    """Hook one span tracer into ``nics``; return it."""
+    tracer = SpanTracer()
+    for nic in nics:
+        nic.tracer = tracer
+    return tracer
+
+
 def test_packet_timestamps_in_order():
     sim, a, b = build_pair()
     a.open_connection(1, 0, "b")
     b.open_connection(1, 0, "a")
+    tracer = trace(a, b)
     packet = RpcPacket(RpcKind.REQUEST, 1, "echo", b"", 64)
     send(sim, a, packet)
     sim.run()
-    stamps = packet.timestamps
-    assert (stamps["sw_tx"] <= stamps["nic_fetched"] <= stamps["wire_tx"]
-            <= stamps["nic_rx"] <= stamps["host_delivered"])
+    stamps = tracer.span(packet.rpc_id).events
+    assert (stamps["req_sw_tx"] <= stamps["req_nic_fetched"]
+            <= stamps["req_wire_tx"] <= stamps["req_nic_rx"]
+            <= stamps["req_host_delivered"])
 
 
 def test_response_steered_to_request_flow():
@@ -121,12 +133,13 @@ def test_fixed_batch_waits_then_times_out():
     a.soft.batch_timeout_ns = 2000
     a.open_connection(1, 0, "b")
     b.open_connection(1, 0, "a")
+    tracer = trace(a)
     packet = RpcPacket(RpcKind.REQUEST, 1, "echo", b"", 64)
     send(sim, a, packet)
     sim.run()
     # Sent alone after the batch timeout, not stuck forever.
     assert b.monitor.delivered_rpcs == 1
-    assert packet.timestamps["nic_fetched"] >= 2000
+    assert tracer.span(packet.rpc_id).events["req_nic_fetched"] >= 2000
 
 
 def test_auto_batch_takes_whats_available():
@@ -245,24 +258,52 @@ def test_ingress_chain_stage_latencies():
 # ------------------------------------------------------- egress pipeline
 
 
-def _egress_ns(nic, packet):
+def _watch_egress(nic):
+    """Record when each packet enters and leaves ``nic``'s egress pipeline.
+
+    Wraps the two hand-offs around it: ``enqueue_egress`` (the fetched
+    packet enters its sequencer, ``nic_fetched``) and ``switch.send`` (the
+    serialized frame leaves, ``wire_tx``). Unlike a span tracer this also
+    sees CONTROL packets. Install before the first ``sim.run()``: the
+    sequencers bind ``switch.send`` when they start. Returns
+    ``{packet: {point: t_ns}}``, first passage kept.
+    """
+    sim = nic.sim
+    times = {}
+    enqueue_egress = nic.enqueue_egress
+    switch_send = nic.switch.send
+
+    def fetched(flow_id, packet):
+        times.setdefault(packet, {}).setdefault("nic_fetched", sim.now)
+        enqueue_egress(flow_id, packet)
+
+    def wire_tx(dst_address, packet):
+        times.setdefault(packet, {}).setdefault("wire_tx", sim.now)
+        switch_send(dst_address, packet)
+
+    nic.enqueue_egress = fetched
+    nic.switch.send = wire_tx
+    return times
+
+
+def _egress_ns(nic, times, packet):
     """``wire_tx - nic_fetched`` of one packet on an otherwise idle NIC."""
     if packet.kind is RpcKind.CONTROL:
         # Control packets are generated on the NIC: they enter the control
         # sequencer directly, with no fetch.
-        packet.stamp("nic_fetched", nic.sim.now)
         nic.enqueue_egress(0, packet)
     else:
         send(nic.sim, nic, packet)
     nic.sim.run()
-    stamps = packet.timestamps
-    return stamps["wire_tx"] - stamps["nic_fetched"]
+    return times[packet]["wire_tx"] - times[packet]["nic_fetched"]
 
 
 def _egress_floor(nic, packet):
     """Cycle + RPC unit + hit lookup + transport + serialization."""
+    # A scratch port: the rule without counting a frame on the NIC's own.
+    serialization_ns = EthernetPort(nic.sim, CAL).serialize(packet.wire_bytes)
     return (nic._cycle_ns + nic._rpc_unit_ns + nic.connection_manager._hit_ns
-            + nic._transport_ns + nic.eth.serialization_ns(packet.wire_bytes))
+            + nic._transport_ns + serialization_ns)
 
 
 def _control_packet(connection_id, dst_address):
@@ -279,11 +320,12 @@ def test_egress_stage_latencies(kind, reliable):
     sim, a, b = build_pair(reliable_transport=reliable)
     a.open_connection(1, 0, "b")
     b.open_connection(1, 0, "a")
+    times = _watch_egress(a)
     if kind is RpcKind.CONTROL:
         packet = _control_packet(1, "b")
     else:
         packet = RpcPacket(kind, 1, "echo", b"", 200)
-    assert _egress_ns(a, packet) == _egress_floor(a, packet)
+    assert _egress_ns(a, times, packet) == _egress_floor(a, packet)
     assert a.monitor.connection_misses == 0
 
 
@@ -291,12 +333,13 @@ def test_inline_crypto_adds_latency_to_data_packets_only():
     sim, a, b = build_pair(inline_crypto=True)
     a.open_connection(1, 0, "b")
     b.open_connection(1, 0, "a")
+    times = _watch_egress(a)
     data = RpcPacket(RpcKind.REQUEST, 1, "echo", b"", 200)
     crypto_ns = a._crypto_ns(data)
     assert crypto_ns > 0
-    assert _egress_ns(a, data) == _egress_floor(a, data) + crypto_ns
+    assert _egress_ns(a, times, data) == _egress_floor(a, data) + crypto_ns
     control = _control_packet(1, "b")
-    assert _egress_ns(a, control) == _egress_floor(a, control)
+    assert _egress_ns(a, times, control) == _egress_floor(a, control)
     # Ingress: the data packet pays the same crypto before its lookup.
     steer_ns = _steered_at(b, RpcPacket(RpcKind.REQUEST, 1, "echo", b"",
                                         200))
@@ -309,10 +352,11 @@ def test_egress_connection_miss_pays_dram_fetch_and_refills(reliable):
     sim, a, b = build_pair(reliable_transport=reliable)
     a.open_connection(1, 0, "b")
     b.open_connection(1, 0, "a")
+    times = _watch_egress(a)
     cache = a.connection_manager.cache
     assert cache.invalidate(1)
     packet = RpcPacket(RpcKind.REQUEST, 1, "echo", b"", 64)
-    miss_ns = _egress_ns(a, packet)
+    miss_ns = _egress_ns(a, times, packet)
     assert miss_ns - _egress_floor(a, packet) == (
         CAL.nic_connection_miss_ns - a.connection_manager._hit_ns)
     assert a.monitor.connection_misses == 1
@@ -320,5 +364,5 @@ def test_egress_connection_miss_pays_dram_fetch_and_refills(reliable):
     # The miss re-inserted the entry: the next packet hits again.
     assert cache.lookup(1) == (True, a.connection_manager._dram[1])
     again = RpcPacket(RpcKind.REQUEST, 1, "echo", b"", 64)
-    assert _egress_ns(a, again) == _egress_floor(a, again)
+    assert _egress_ns(a, times, again) == _egress_floor(a, again)
     assert a.monitor.connection_misses == 1

@@ -4,7 +4,12 @@ import pytest
 
 from repro.hw.calibration import DEFAULT_CALIBRATION
 from repro.hw.ethernet import ETHERNET_OVERHEAD_BYTES, MIN_FRAME_BYTES, EthernetPort
+from repro.hw.interconnect.ccip import make_interface
+from repro.hw.nic.config import NicHardConfig
+from repro.hw.nic.dagger_nic import DaggerNic
+from repro.hw.platform import Machine
 from repro.hw.switch import ShardBoundary, ToRSwitch, UnknownDestinationError
+from repro.rpc.messages import HEADER_BYTES, RpcKind, RpcPacket
 from repro.sim import Simulator
 
 CAL = DEFAULT_CALIBRATION
@@ -13,46 +18,56 @@ CAL = DEFAULT_CALIBRATION
 # -------------------------------------------------------------- Ethernet
 
 
-def test_frame_bytes_min_size():
+def _frame_bytes(payload_bytes):
+    """Bytes one frame of ``payload_bytes`` puts on the wire."""
     port = EthernetPort(Simulator(), CAL)
-    assert port.frame_bytes(1) == MIN_FRAME_BYTES + ETHERNET_OVERHEAD_BYTES
-    assert port.frame_bytes(64) == 64 + ETHERNET_OVERHEAD_BYTES
-    assert port.frame_bytes(1500) == 1500 + ETHERNET_OVERHEAD_BYTES
+    port.serialize(payload_bytes)
+    return port.bytes
+
+
+def test_frame_bytes_min_size():
+    assert _frame_bytes(1) == MIN_FRAME_BYTES + ETHERNET_OVERHEAD_BYTES
+    assert _frame_bytes(64) == 64 + ETHERNET_OVERHEAD_BYTES
+    assert _frame_bytes(1500) == 1500 + ETHERNET_OVERHEAD_BYTES
 
 
 def test_serialization_time_scales():
     port = EthernetPort(Simulator(), CAL)
-    assert port.serialization_ns(64) < port.serialization_ns(1500)
+    assert port.serialize(64) < port.serialize(1500)
     # 100 GbE: a minimum frame serializes in a handful of ns.
-    assert port.serialization_ns(64) <= 10
+    assert port.serialize(64) <= 10
 
 
 def test_transmit_occupies_port_serially():
+    # Two 1500 B frames leave two flows' egress sequencers 5 ns apart (one
+    # pipeline cycle); the second waits for the port until the first has
+    # serialized.
     sim = Simulator()
-    port = EthernetPort(sim, CAL)
+    switch = ToRSwitch(sim, CAL, loopback=True)
+    nic = DaggerNic(sim, CAL, make_interface("upi", sim, CAL,
+                                             Machine(sim).fpga),
+                    switch, "a", hard=NicHardConfig(num_flows=2))
+    nic.open_connection(1, 0, "b")
     finishes = []
 
-    def sender():
-        yield from port.transmit(1500)
+    def wire_tx(dst_address, packet):
         finishes.append(sim.now)
 
-    sim.spawn(sender())
-    sim.spawn(sender())
+    switch.send = wire_tx  # bound by the sequencers when they start
+    payload = 1500 - HEADER_BYTES  # a 1500 B Ethernet payload
+    for flow in (0, 1):
+        nic.enqueue_egress(flow, RpcPacket(RpcKind.REQUEST, 1, "m", b"",
+                                           payload))
     sim.run()
-    assert finishes[1] == 2 * finishes[0]
-    assert port.frames == 2
-    assert port.bytes == 2 * port.frame_bytes(1500)
+    assert finishes[1] - finishes[0] == EthernetPort(sim, CAL).serialize(1500)
+    assert nic.eth.frames == 2
+    assert nic.eth.bytes == 2 * _frame_bytes(1500)
 
 
 def test_transmit_rejects_negative():
-    sim = Simulator()
-    port = EthernetPort(sim, CAL)
-
-    def sender():
-        yield from port.transmit(-1)
-
+    port = EthernetPort(Simulator(), CAL)
     with pytest.raises(ValueError):
-        sim.run_until_done(sim.spawn(sender()))
+        port.serialize(-1)
 
 
 # ------------------------------------------------------------------ Switch

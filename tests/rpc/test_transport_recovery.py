@@ -8,8 +8,8 @@ Three fixed bugs, each pinned by a failing-before/passing-after test:
   to the host ring again — now the NIC suppresses them pre-ring and the
   verdict comes back as ``on_delivered``'s return value;
 - NACK retransmission re-enqueued the *same* ``RpcPacket`` object, so an
-  in-flight alias and its retransmission corrupted each other's
-  timestamps — retransmissions now send ``clone()``s.
+  in-flight alias and its retransmission shared every field the stack
+  writes in place — retransmissions now send ``clone()``s.
 
 Plus the new recovery machinery: sender RTO, SKIP hole-closing, stale
 NACK accounting, cumulative credit-grant reconciliation, and the
@@ -129,7 +129,6 @@ def test_nack_retransmits_a_clone_not_the_buffered_alias():
     assert resent is not packet  # the aliasing bug
     assert resent.seq == packet.seq
     assert resent.rpc_id == packet.rpc_id
-    assert resent.timestamps is not packet.timestamps
 
 
 # -- stale NACKs -------------------------------------------------------------

@@ -68,3 +68,14 @@ def test_public_classes_have_docstrings():
     for cls in (DaggerNic, RpcClient, RpcThreadedServer, Simulator,
                 DaggerStack):
         assert cls.__doc__ and len(cls.__doc__.strip()) > 20, cls
+
+
+def test_harness_obs_chaos_exports_resolve():
+    import repro.chaos as chaos_pkg
+    import repro.harness as harness_pkg
+    import repro.obs as obs_pkg
+
+    for pkg in (harness_pkg, obs_pkg, chaos_pkg):
+        assert pkg.__all__, pkg.__name__
+        for name in pkg.__all__:
+            assert getattr(pkg, name) is not None, (pkg.__name__, name)
